@@ -1,6 +1,6 @@
 # Convenience targets for the iGuard reproduction.
 
-.PHONY: build test bench bench-parallel bench-serve bench-batch bench-mp bench-rules eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed p4lint
+.PHONY: build test bench bench-e2e bench-diff bench-parallel bench-serve bench-batch bench-mp bench-rules eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed p4lint
 
 build:
 	go build ./...
@@ -11,6 +11,19 @@ test:
 # Benchmarks regenerating every table and figure (single iteration each).
 bench:
 	go test -bench=. -benchmem -benchtime=1x .
+
+# The repo benchmark (BENCHMARK.json, bench/README.md): every workload's
+# end-to-end metrics, built from this checkout into .bench_build/.
+# Results land in bench/out/.
+bench-e2e:
+	bash bench/run.sh --workload all --seed 1 --trace 0
+
+# Compare two sets of benchmark results (directories or globs, quoted
+# so benchdiff expands them), e.g.
+#   make bench-diff OLD=old/ NEW='new/*trace0.json'
+# Each side needs at least two runs of every workload it shares.
+bench-diff:
+	go run ./bench/cmd/benchdiff '$(OLD)' '$(NEW)'
 
 # Training-throughput scaling across worker counts (the model is
 # byte-identical at every P; only wall-clock changes).
@@ -24,7 +37,8 @@ bench-serve:
 
 # Batch-path benchmarks: the switch batch pass, the feature-major
 # batch matcher vs per-code matching, and batched vs unbatched
-# end-to-end serve throughput.
+# end-to-end serve throughput, on dense and sparse (capture-like)
+# trace timing, with the mean batch fill (pkts/batch) beside pps.
 bench-batch:
 	go test -bench 'BenchmarkProcessBatch|BenchmarkServeThroughput' -benchmem -run '^$$' ./internal/serve
 	go test -bench 'BenchmarkMatchColumns' -benchmem -run '^$$' ./internal/rules

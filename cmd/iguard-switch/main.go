@@ -45,7 +45,7 @@ func main() {
 		queue      = flag.Int("queue", 1024, "per-shard mailbox depth")
 		dropPolicy = flag.String("drop-policy", "block", "backpressure policy: block or drop")
 		batchSize  = flag.Int("batch", 64, "per-shard hand-off batch size (0 or 1 serves per packet)")
-		batchFlush = flag.Duration("batch-flush", 0, "trace-time flush deadline for partial batches (0 = 1ms when batching)")
+		batchFlush = flag.Duration("batch-flush", 0, "trace-time flush deadline for partial batches, checked once per ingest call (0 = 1ms when batching)")
 		producers  = flag.Int("producers", 1, "ingest lane count (RSS-style; >1 replays through concurrent producer goroutines)")
 	)
 	flag.Parse()

@@ -702,7 +702,9 @@ type ServeConfig struct {
 	// per-packet overhead is amortised. 0 or 1 serves per packet.
 	BatchSize int
 	// BatchFlush bounds, in trace time, how long a partial batch may
-	// wait before being handed off (0 = 1ms when batching is on). See
+	// wait before being handed off (0 = 1ms when batching is on). It
+	// is checked once per ingest call, so a call whose packets span
+	// many intervals hands each shard one batch. See
 	// serve.Config.BatchFlush.
 	BatchFlush time.Duration
 	// Producers is the ingest lane count (0 = 1). Each lane is an

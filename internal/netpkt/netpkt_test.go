@@ -317,3 +317,35 @@ func TestNextValidPropagatesIOErrors(t *testing.T) {
 		t.Errorf("truncated stream: err = %v, want I/O error", err)
 	}
 }
+
+// TestNextValidBatchAllocs pins the decode path at one heap allocation
+// per packet: the frame buffer the returned Payload aliases. The record
+// header is read into reader-owned scratch, not a per-call array.
+func TestNextValidBatchAllocs(t *testing.T) {
+	const batch, runs = 16, 50
+	var buf bytes.Buffer
+	w := NewPcapWriter(&buf)
+	for i := 0; i < batch*(runs+1); i++ {
+		p := samplePacket(ProtoUDP)
+		p.SrcPort = uint16(1000 + i)
+		if err := w.WritePacket(&p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewPcapReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := make([]Packet, batch)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if n, err := r.NextValidBatch(pkts); n != batch || err != nil {
+			t.Fatalf("NextValidBatch = %d, %v; want %d, nil", n, err, batch)
+		}
+	})
+	if perPkt := allocs / batch; perPkt > 1 {
+		t.Errorf("NextValidBatch allocs per packet = %v, want <= 1", perPkt)
+	}
+}

@@ -80,6 +80,10 @@ func (pw *PcapWriter) Flush() error { return pw.w.Flush() }
 type PcapReader struct {
 	r     *bufio.Reader
 	order binary.ByteOrder
+	// rec is the record-header scratch Next reads into. A local array
+	// passed to io.ReadFull escapes to the heap on every call; a field
+	// of the reader does not.
+	rec [16]byte
 	// Nanosecond reports whether the file uses nanosecond timestamps
 	// (magic 0xa1b23c4d).
 	Nanosecond bool
@@ -120,8 +124,8 @@ func NewPcapReader(r io.Reader) (*PcapReader, error) {
 // fail to parse (non-IPv4 etc.) are returned as errors distinct from
 // io.EOF so callers can skip them.
 func (pr *PcapReader) Next() (Packet, error) {
-	var rec [16]byte
-	if _, err := io.ReadFull(pr.r, rec[:]); err != nil {
+	rec := pr.rec[:]
+	if _, err := io.ReadFull(pr.r, rec); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return Packet{}, io.EOF
 		}
@@ -134,6 +138,8 @@ func (pr *PcapReader) Next() (Packet, error) {
 	if capLen > pcapSnapLen {
 		return Packet{}, fmt.Errorf("netpkt: capture length %d exceeds snaplen", capLen)
 	}
+	// A fresh frame buffer per record: the returned Packet's Payload
+	// aliases it.
 	data := make([]byte, capLen)
 	if _, err := io.ReadFull(pr.r, data); err != nil {
 		return Packet{}, fmt.Errorf("netpkt: truncated record: %w", err)

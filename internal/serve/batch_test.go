@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"iguard/internal/features"
 	"iguard/internal/netpkt"
 	"iguard/internal/switchsim"
 )
@@ -90,101 +90,184 @@ func runBatched(t *testing.T, shards, batch int, pkts []netpkt.Packet) ([]decisi
 	return rec.recs, coreOf(st), st
 }
 
+// sparseTrace returns a copy of pkts stretched in trace time: packet i
+// moves gap*i later, so order is kept but every few packets cross a
+// BatchFlush interval — the regime of replayed captures, where one
+// ingest call spans many flush deadlines.
+func sparseTrace(pkts []netpkt.Packet, gap time.Duration) []netpkt.Packet {
+	out := make([]netpkt.Packet, len(pkts))
+	for i := range pkts {
+		out[i] = pkts[i]
+		out[i].Timestamp = pkts[i].Timestamp.Add(time.Duration(i) * gap)
+	}
+	return out
+}
+
 // TestBatchDecisionsMatchUnbatched is the serving-layer equivalence
 // pin of the batch redesign: at every batch size × shard count, the
 // per-sequence decision stream and the pipeline counters must be
 // byte-identical to the unbatched path over the same trace — batching
-// changes how packets travel to the shards, never what is decided.
+// changes how packets travel to the shards, never what is decided. The
+// sparse variant spaces packets 250µs apart on top of their own
+// timing, so a 64-packet ingest call spans 16 BatchFlush deadlines.
 func TestBatchDecisionsMatchUnbatched(t *testing.T) {
-	trace := mixedTrace(t)
-	for _, shards := range []int{1, 2, 8} {
-		base, baseCore, baseStats := runBatched(t, shards, 0, trace.Packets)
-		if baseStats.Ticks == 0 {
-			t.Fatal("trace never crossed a sweep tick; the ordering check is vacuous")
-		}
-		if baseStats.Batches != 0 {
-			t.Fatalf("unbatched run reported %d batches", baseStats.Batches)
-		}
-		for _, batch := range []int{1, 7, 64, 1024} {
-			t.Run(fmt.Sprintf("shards=%d/batch=%d", shards, batch), func(t *testing.T) {
-				got, gotCore, st := runBatched(t, shards, batch, trace.Packets)
-				for seq := range base {
-					if got[seq] != base[seq] {
-						t.Fatalf("seq %d: batched %+v, unbatched %+v", seq, got[seq], base[seq])
+	dense := mixedTrace(t).Packets
+	for _, tc := range []struct {
+		name string
+		pkts []netpkt.Packet
+	}{
+		{"", dense},
+		{"sparse/", sparseTrace(dense, 250*time.Microsecond)},
+	} {
+		for _, shards := range []int{1, 2, 8} {
+			base, baseCore, baseStats := runBatched(t, shards, 0, tc.pkts)
+			if baseStats.Ticks == 0 {
+				t.Fatal("trace never crossed a sweep tick; the ordering check is vacuous")
+			}
+			if baseStats.Batches != 0 {
+				t.Fatalf("unbatched run reported %d batches", baseStats.Batches)
+			}
+			for _, batch := range []int{1, 7, 64, 1024} {
+				t.Run(fmt.Sprintf("%sshards=%d/batch=%d", tc.name, shards, batch), func(t *testing.T) {
+					got, gotCore, st := runBatched(t, shards, batch, tc.pkts)
+					for seq := range base {
+						if got[seq] != base[seq] {
+							t.Fatalf("seq %d: batched %+v, unbatched %+v", seq, got[seq], base[seq])
+						}
 					}
-				}
-				if gotCore != baseCore {
-					t.Errorf("core counters diverge: batched %+v, unbatched %+v", gotCore, baseCore)
-				}
-				if batch > 1 && st.Batches == 0 {
-					t.Error("batched run reported zero batch hand-offs")
-				}
-			})
+					if gotCore != baseCore {
+						t.Errorf("core counters diverge: batched %+v, unbatched %+v", gotCore, baseCore)
+					}
+					if batch > 1 && st.Batches == 0 {
+						t.Error("batched run reported zero batch hand-offs")
+					}
+				})
+			}
 		}
 	}
 }
 
-// TestBatchFlushDeadline pins the latency bound: a packet parked in a
-// partial batch is handed off as soon as the trace clock advances
-// BatchFlush past the last flush point, without waiting for the batch
-// to fill or for an explicit Flush.
+// flowPacket builds a UDP packet of flow i at trace offset at.
+func flowPacket(i int, at time.Duration) netpkt.Packet {
+	base := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
+	return netpkt.Packet{
+		Timestamp: base.Add(at),
+		SrcIP:     [4]byte{10, 0, byte(i >> 8), byte(i)}, DstIP: [4]byte{23, 1, 0, 1},
+		SrcPort: uint16(1000 + i), DstPort: 80, Proto: netpkt.ProtoUDP, TTL: 64, Length: 120,
+	}
+}
+
+// TestBatchFlushDeadline pins the latency bound: once an ingest call
+// moves the lane's trace clock BatchFlush past the last flush point,
+// every pending batch — the calling packet's own included — is handed
+// off before the call returns, without waiting for the batch to fill
+// or for an explicit Flush. Stats is a barrier relative to handed-off
+// batches and never flushes pending ones, so Packets counts exactly
+// what the deadline released.
 func TestBatchFlushDeadline(t *testing.T) {
-	var decided atomic.Uint64
 	srv, err := New(Config{
 		Shards:     1,
 		BatchSize:  64,
 		BatchFlush: time.Millisecond,
 		Policy:     Block,
 		NewShard:   testShardFactory(acceptAllFL(), 8, time.Hour),
-		OnDecision: func(int, uint32, uint64, *netpkt.Packet, switchsim.Decision) { decided.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	base := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
-	mk := func(at time.Duration) netpkt.Packet {
-		return netpkt.Packet{
-			Timestamp: base.Add(at),
-			SrcIP:     [4]byte{10, 0, 0, 1}, DstIP: [4]byte{23, 1, 0, 1},
-			SrcPort: 1000, DstPort: 80, Proto: netpkt.ProtoUDP, TTL: 64, Length: 120,
+	ingest := func(at time.Duration, wantDecided int) {
+		t.Helper()
+		p := flowPacket(1, at)
+		if _, err := srv.Ingest(&p); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Stats().Packets; got != wantDecided {
+			t.Fatalf("after the packet at %v: %d packets decided, want %d", at, got, wantDecided)
 		}
 	}
-	p1 := mk(0)
-	if _, err := srv.Ingest(&p1); err != nil {
-		t.Fatal(err)
-	}
-	// The batch is far from full and no deadline has passed: the packet
-	// must still be pending. (Deliberately not Stats: a stats request
-	// is itself a flush point.)
-	time.Sleep(10 * time.Millisecond)
-	if n := decided.Load(); n != 0 {
-		t.Fatalf("packet decided before any flush point (decided=%d)", n)
-	}
-	// A second packet 2ms of trace time later crosses the 1ms deadline:
-	// the pending batch (p1) must be handed off even though p2 opens a
-	// new one.
-	p2 := mk(2 * time.Millisecond)
-	if _, err := srv.Ingest(&p2); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for decided.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("deadline flush never delivered the parked packet")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// p1 seeds the lane clock; p2 stays within BatchFlush of it. Both
+	// must still be pending.
+	ingest(0, 0)
+	ingest(500*time.Microsecond, 0)
+	// p3 is 2ms of trace time later and crosses the 1ms deadline: the
+	// Ingest that crosses it hands off p1, p2 and p3 itself.
+	ingest(2*time.Millisecond, 3)
+	// The deadline re-anchors at p3: p4 waits again.
+	ingest(2500*time.Microsecond, 3)
 	// Explicit Flush delivers the rest.
 	if err := srv.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for decided.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("Flush never delivered the second packet")
+	if got := srv.Stats().Packets; got != 4 {
+		t.Fatalf("after Flush: %d packets decided, want 4", got)
+	}
+}
+
+// TestBatchFlushOncePerCall pins where the deadline is checked: once
+// per ingest call, not once per packet. One IngestBatch whose packets
+// span many BatchFlush intervals of trace time hands each shard that
+// received packets exactly one batch, at the end of the call; a call
+// that stays inside the deadline hands off nothing.
+func TestBatchFlushOncePerCall(t *testing.T) {
+	const n = 40
+	srv, err := New(Config{
+		Shards:     4,
+		BatchSize:  64,
+		BatchFlush: time.Millisecond,
+		Policy:     Block,
+		NewShard:   testShardFactory(acceptAllFL(), 8, time.Hour),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	// flows builds one packet for each of n distinct flows, step apart
+	// in trace time from start, and counts the shards they land on.
+	flows := func(start, step time.Duration) ([]netpkt.Packet, uint64) {
+		pkts := make([]netpkt.Packet, n)
+		hit := make(map[int]bool)
+		for i := range pkts {
+			pkts[i] = flowPacket(i, start+time.Duration(i)*step)
+			_, fold := features.CanonicalFoldOf(&pkts[i])
+			hit[srv.shardOf(fold)] = true
 		}
-		time.Sleep(time.Millisecond)
+		return pkts, uint64(len(hit))
+	}
+	// handOffs runs fn and returns how many batches it handed off.
+	handOffs := func(fn func() error) uint64 {
+		t.Helper()
+		before := srv.Stats().Batches
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+		return srv.Stats().Batches - before
+	}
+
+	// Two calls, each spanning 39 BatchFlush intervals.
+	for _, start := range []time.Duration{0, n * time.Millisecond} {
+		pkts, recv := flows(start, time.Millisecond)
+		if recv < 2 {
+			t.Fatalf("packets reached %d shard(s); the test needs several", recv)
+		}
+		got := handOffs(func() error { _, _, err := srv.IngestBatch(pkts); return err })
+		if got != recv {
+			t.Fatalf("call from %v handed off %d batches, want %d (one per receiving shard)", start, got, recv)
+		}
+	}
+	// A call that ends 39µs after the last flush point stays pending
+	// until Flush.
+	pkts, recv := flows((2*n-1)*time.Millisecond, time.Microsecond)
+	if got := handOffs(func() error { _, _, err := srv.IngestBatch(pkts); return err }); got != 0 {
+		t.Fatalf("call inside the deadline handed off %d batches, want 0", got)
+	}
+	if got := handOffs(srv.Flush); got != recv {
+		t.Fatalf("Flush handed off %d batches, want %d", got, recv)
+	}
+	if got := srv.Stats().Packets; got != 3*n {
+		t.Fatalf("%d packets decided, want %d", got, 3*n)
 	}
 }
 

@@ -91,55 +91,80 @@ func BenchmarkProcessBatch(b *testing.B) {
 	}
 }
 
+// sparseGap is the trace-time spacing of the sparse serve benchmark
+// cases: a 64-packet ingest call spans 6.4ms, about six default 1ms
+// BatchFlush intervals, like a chunk of a replayed capture.
+const sparseGap = 100 * time.Microsecond
+
 // BenchmarkServeThroughput measures end-to-end ingest→decision packet
 // rate across shard counts on the same synthetic workload (ns/op is
 // per packet, drain included), driving the batched face the daemons
 // use: IngestBatch in 64-packet slices over a BatchSize-64 server. On
 // a multi-core host the 4-shard run should sustain at least twice the
 // 1-shard pps; on a single core the shard counts only measure the
-// runtime's overhead.
+// runtime's overhead. The dense cases keep the trace's own timestamps,
+// whose clock stops advancing once the loop wraps, so batches hand off
+// full; the sparse/ cases restamp packet i at i×sparseGap, so every
+// call crosses the BatchFlush deadline as replayed captures do (the
+// restamping copy is part of their timed loop). pkts/batch is the mean
+// fill of a handed-off batch.
 func BenchmarkServeThroughput(b *testing.B) {
 	pkts := benchPackets(b)
 	pl := benchPLRules(256)
 	const batch = 64
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			srv, err := New(Config{
-				Shards:     shards,
-				QueueDepth: 1024,
-				Policy:     Block,
-				BatchSize:  batch,
-				NewShard:   benchShardFactory(pl),
-			})
-			if err != nil {
-				b.Fatal(err)
+	for _, sparse := range []bool{false, true} {
+		for _, shards := range []int{1, 2, 4, 8} {
+			name := fmt.Sprintf("shards=%d", shards)
+			if sparse {
+				name = "sparse/" + name
 			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			for n := 0; n < b.N; {
-				off := n % (len(pkts) - batch)
-				chunk := batch
-				if rem := b.N - n; rem < chunk {
-					chunk = rem
-				}
-				if _, _, err := srv.IngestBatch(pkts[off : off+chunk]); err != nil {
+			b.Run(name, func(b *testing.B) {
+				srv, err := New(Config{
+					Shards:     shards,
+					QueueDepth: 1024,
+					Policy:     Block,
+					BatchSize:  batch,
+					NewShard:   benchShardFactory(pl),
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
-				n += chunk
-			}
-			if err := srv.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			if err := srv.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			st := srv.Stats()
-			if st.Packets != b.N {
-				b.Fatalf("processed %d packets, want %d", st.Packets, b.N)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pps")
-		})
+				buf := make([]netpkt.Packet, batch)
+				b.ResetTimer()
+				b.ReportAllocs()
+				for n := 0; n < b.N; {
+					off := n % (len(pkts) - batch)
+					chunk := batch
+					if rem := b.N - n; rem < chunk {
+						chunk = rem
+					}
+					in := pkts[off : off+chunk]
+					if sparse {
+						in = buf[:copy(buf, in)]
+						for i := range in {
+							in[i].Timestamp = pkts[0].Timestamp.Add(time.Duration(n+i) * sparseGap)
+						}
+					}
+					if _, _, err := srv.IngestBatch(in); err != nil {
+						b.Fatal(err)
+					}
+					n += chunk
+				}
+				if err := srv.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				if err := srv.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				st := srv.Stats()
+				if st.Packets != b.N {
+					b.Fatalf("processed %d packets, want %d", st.Packets, b.N)
+				}
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pps")
+				b.ReportMetric(float64(st.Packets)/float64(st.Batches), "pkts/batch")
+			})
+		}
 	}
 }
 

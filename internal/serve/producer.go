@@ -45,8 +45,8 @@ type Producer struct {
 	// Lane-owned trace-clock anchors, unix-nano. lastSeen is the
 	// newest capture timestamp this lane has observed (zero until the
 	// lane's first packet); lastFlush anchors the lane's BatchFlush
-	// deadline. Both are plain fields: only the lane's goroutine
-	// touches them.
+	// deadline, checked once per ingest call (flushIfDue). Both are
+	// plain fields: only the lane's goroutine touches them.
 	lastSeen  int64
 	lastFlush int64
 
@@ -81,6 +81,7 @@ func (p *Producer) Ingest(pkt *netpkt.Packet) (bool, error) {
 	shard := s.shardOf(fold)
 	if s.batching() {
 		p.enqueue(shard, pkt, key, fold)
+		p.flushIfDue()
 		return true, nil
 	}
 	return p.sendPacket(shard, pkt)
@@ -162,6 +163,22 @@ func (p *Producer) flushShard(shard int) {
 	p.pending[shard] = <-w.free
 }
 
+// flushIfDue is the lane's BatchFlush deadline: once the lane's clock
+// has moved BatchFlush past its last flush point, every pending batch
+// is handed off. The ingest faces call it once per call, after the
+// call's packets are enqueued — not per packet — so a call whose
+// packets span many BatchFlush intervals of trace time still makes one
+// hand-off per shard, and the packet that crosses the deadline leaves
+// with the rest. Lane goroutine only.
+//
+//iguard:hotpath
+func (p *Producer) flushIfDue() {
+	if time.Duration(p.lastSeen-p.lastFlush) >= p.s.cfg.BatchFlush {
+		p.lastFlush = p.lastSeen
+		p.flushPending()
+	}
+}
+
 // flushPending hands the lane's pending batch for every shard off.
 // Lane goroutine only (Close calls it for every lane after all
 // producers have quiesced).
@@ -188,11 +205,10 @@ func (p *Producer) Flush() error {
 	return nil
 }
 
-// observe advances the trace clock, flushes the lane's aged partial
-// batches once the lane's clock moves BatchFlush past its last flush
-// point, and broadcasts sweep ticks when the shared tick election
-// says this lane crossed the SweepEvery cadence first. Lane goroutine
-// only.
+// observe advances the trace clock and broadcasts sweep ticks when the
+// shared tick election says this lane crossed the SweepEvery cadence
+// first. It runs per packet; the BatchFlush deadline does not (see
+// flushIfDue). Lane goroutine only.
 //
 //iguard:hotpath
 func (p *Producer) observe(ts time.Time) {
@@ -217,13 +233,6 @@ func (p *Producer) observe(ts time.Time) {
 	}
 	p.lastSeen = ns
 	s.advanceTrace(ns)
-	if s.batching() && time.Duration(ns-p.lastFlush) >= s.cfg.BatchFlush {
-		// Flush deadline: no packet waits in this lane's partial
-		// batches for more than BatchFlush of trace time once the
-		// lane's clock moves on.
-		p.lastFlush = ns
-		p.flushPending()
-	}
 	if s.cfg.SweepEvery <= 0 {
 		return
 	}
@@ -256,10 +265,11 @@ func (p *Producer) observe(ts time.Time) {
 // IngestBatch routes a slice of packets to their shards in one call:
 // the batch analogue of Ingest, and what Replay/ReplayBatch drive. In
 // batch mode every packet is copied into the lane's pending batches,
-// so pkts is immediately reusable on return; on an unbatched server
-// each packet is individually copied and queued, preserving Ingest's
-// semantics (including per-packet Drop-policy sheds, reported in the
-// dropped count). Lane goroutine only.
+// so pkts is immediately reusable on return, and the BatchFlush
+// deadline is checked once, after the last packet; on an unbatched
+// server each packet is individually copied and queued, preserving
+// Ingest's semantics (including per-packet Drop-policy sheds, reported
+// in the dropped count). Lane goroutine only.
 //
 //iguard:hotpath
 func (p *Producer) IngestBatch(pkts []netpkt.Packet) (accepted, dropped uint64, err error) {
@@ -274,6 +284,7 @@ func (p *Producer) IngestBatch(pkts []netpkt.Packet) (accepted, dropped uint64, 
 			key, fold := features.CanonicalFoldOf(pk)
 			p.enqueue(s.shardOf(fold), pk, key, fold)
 		}
+		p.flushIfDue()
 		return uint64(len(pkts)), 0, nil
 	}
 	for i := range pkts {
@@ -315,6 +326,7 @@ func (p *Producer) IngestDecoded(pkts []netpkt.Packet, keys []features.FlowKey, 
 			p.observe(pk.Timestamp)
 			p.enqueue(s.shardOf(folds[i]), pk, keys[i], folds[i])
 		}
+		p.flushIfDue()
 		return uint64(len(pkts)), 0, nil
 	}
 	for i := range pkts {

@@ -17,11 +17,12 @@
 // caller's read buffer is immediately reusable) and hands the whole
 // batch to the worker as one mailbox operation; the worker answers it
 // with one switchsim.ProcessBatch pass. A trace-time flush deadline
-// (Config.BatchFlush) bounds how long a partial batch may sit while
-// the clock advances, so low-rate flows still see bounded decision
-// latency. Batch buffers recycle through a fixed per-shard pool — the
-// steady-state batch path touches the heap exactly never, on both
-// sides of the channel.
+// (Config.BatchFlush), checked once per ingest call, bounds how long a
+// partial batch may sit while the clock advances, so low-rate flows
+// still see bounded decision latency, while a call whose packets span
+// many deadlines still makes one hand-off per shard. Batch buffers
+// recycle through a fixed per-shard pool — the steady-state batch path
+// touches the heap exactly never, on both sides of the channel.
 //
 // Ingest is multi-producer, RSS-style: Config.Producers opens N
 // sequence lanes, each owned by one producer goroutine (Producer).
@@ -117,6 +118,11 @@ type Config struct {
 	// the same shard. Defaults to 1.
 	Shards int
 	// QueueDepth bounds each shard's input channel. Defaults to 1024.
+	// In batch mode the channel holds ⌈QueueDepth/BatchSize⌉ batches.
+	// A batch carries up to one ingest call's worth of its shard's
+	// packets, so the channel buffers close to QueueDepth packets when
+	// calls give each shard about BatchSize packets, and proportionally
+	// fewer for smaller calls or more shards.
 	QueueDepth int
 	// Policy is the backpressure policy when a queue is full.
 	Policy DropPolicy
@@ -136,13 +142,19 @@ type Config struct {
 	// batch-sized gaps where the unbatched path would shed singly.
 	BatchSize int
 	// BatchFlush bounds, in trace time, how long a partial batch may
-	// wait for more packets: whenever the trace clock advances at
-	// least BatchFlush past the last flush point, all pending batches
-	// are handed off. Defaults to 1ms when batching is on. Like every
-	// timeout in the runtime it is driven by capture timestamps, not
-	// the wall clock, so replays stay deterministic; Flush gives the
-	// producer an explicit hand-off point (Replay/ReplayBatch call it
-	// at end of stream).
+	// wait for more packets. It is checked once per ingest call
+	// (Ingest, IngestBatch, IngestDecoded), after the call's packets
+	// are enqueued: when the lane's trace clock has moved at least
+	// BatchFlush past its last flush point, every pending batch of the
+	// lane — the call's own packets included — is handed off before
+	// the call returns. A call whose packets span many BatchFlush
+	// intervals thus makes one hand-off per shard, not one per
+	// interval, and under the Drop policy a shed batch is call-sized
+	// (at most BatchSize packets). Defaults to 1ms when batching is
+	// on. Like every timeout in the runtime it is driven by capture
+	// timestamps, not the wall clock, so replays stay deterministic;
+	// Flush gives the producer an explicit hand-off point
+	// (Replay/ReplayBatch call it at end of stream).
 	BatchFlush time.Duration
 	// Producers is the ingest lane count: New builds one Producer per
 	// lane (Server.Producer(i) hands them out; the Server's own
