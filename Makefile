@@ -36,9 +36,10 @@ bench-serve:
 	go test -bench 'BenchmarkProcessPacket|BenchmarkServeThroughput' -benchmem -run '^$$' ./internal/serve
 
 # Batch-path benchmarks: the switch batch pass, the feature-major
-# batch matcher vs per-code matching, and batched vs unbatched
-# end-to-end serve throughput, on dense and sparse (capture-like)
-# trace timing, with the mean batch fill (pkts/batch) beside pps.
+# batch matcher vs per-code matching, and end-to-end serve throughput
+# at batch 64 on dense and sparse (capture-like) trace timing and at
+# batch 1 (every packet its own hand-off), with the mean batch fill
+# (pkts/batch) beside pps.
 bench-batch:
 	go test -bench 'BenchmarkProcessBatch|BenchmarkServeThroughput' -benchmem -run '^$$' ./internal/serve
 	go test -bench 'BenchmarkMatchColumns' -benchmem -run '^$$' ./internal/rules
@@ -111,15 +112,16 @@ race:
 	go test -race ./...
 
 # Focused race pass over the batch hand-off machinery (producer-side
-# batching, flush deadlines, buffer pool recycling, batch equivalence).
+# batching, flush deadlines, lane-owned buffer rings, batch
+# equivalence).
 race-batch:
 	go test -race -run 'Batch|Flush' ./internal/serve ./internal/switchsim
 
 # Focused race pass over the multi-producer ingest machinery: lane
-# contract, concurrent drop conservation, parallel decode source, and
-# single-lane byte-identity under the detector.
+# contract, concurrent drop conservation, the decode pipeline behind
+# every Replay, and single-lane byte-identity under the detector.
 race-mp:
-	go test -race -run 'MultiProducer|ConcurrentLane|ParallelBatchSource|ReplayParallel|ProducerErrors|StatsLane' ./internal/serve
+	go test -race -run 'MultiProducer|ConcurrentLane|ParallelBatchSource|Replay|ProducerErrors|StatsLane' ./internal/serve
 
 # Focused race pass over the federation subsystem: the frame codec,
 # hub broadcast/dedup/join-replay, and the agent's reconnect + bounded

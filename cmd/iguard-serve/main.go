@@ -57,8 +57,8 @@ func main() {
 		queue      = flag.Int("queue", 1024, "per-shard mailbox depth")
 		dropPolicy = flag.String("drop-policy", "block", "backpressure policy: block or drop")
 		sweepEvery = flag.Duration("sweep", 5*time.Second, "idle-flow sweep cadence in trace time (0 disables)")
-		batchSize  = flag.Int("batch", 64, "per-shard hand-off batch size (0 or 1 serves per packet)")
-		batchFlush = flag.Duration("batch-flush", 0, "trace-time flush deadline for partial batches (0 = 1ms when batching)")
+		batchSize  = flag.Int("batch", serve.DefaultBatchSize, "per-shard hand-off batch size (1 hands every packet off alone)")
+		batchFlush = flag.Duration("batch-flush", 0, "trace-time flush deadline for partial batches (0 = 1ms)")
 		producers  = flag.Int("producers", 1, "ingest lane count (RSS-style; >1 replays through concurrent producer goroutines)")
 		statsEvery = flag.Duration("stats-every", 0, "print live aggregate stats at this wall-clock interval (0 disables)")
 		statsJSON  = flag.Bool("stats-json", false, "print the final aggregate stats as one JSON object (machine-parseable)")
@@ -120,14 +120,7 @@ func main() {
 		agent.Start()
 		fmt.Printf("federating with hub %s as node %d\n", *hubAddr, *nodeID)
 	}
-	switch {
-	case *producers > 1 && *batchSize > 1:
-		fmt.Printf("serving %d shard(s), batch=%d, producers=%d; whitelist: %s\n", *shards, *batchSize, *producers, matcherInfo(det.CompiledRules()))
-	case *batchSize > 1:
-		fmt.Printf("serving %d shard(s), batch=%d; whitelist: %s\n", *shards, *batchSize, matcherInfo(det.CompiledRules()))
-	default:
-		fmt.Printf("serving %d shard(s); whitelist: %s\n", *shards, matcherInfo(det.CompiledRules()))
-	}
+	fmt.Printf("serving %d shard(s), batch=%d, producers=%d; whitelist: %s\n", srv.Shards(), *batchSize, srv.Producers(), matcherInfo(det.CompiledRules()))
 
 	src, closer, err := openSource(*replayPath, *seed, *benignFl, *attackName, *attackFl)
 	if err != nil {
@@ -136,30 +129,23 @@ func main() {
 	defer closer()
 
 	// The supervisor goroutine below is the only caller of Swap, Stats
-	// and Close; the replay goroutine drives the ingest lanes (lane 0
-	// alone via Replay, or all of them via ReplayParallel). That is
-	// exactly the concurrency contract internal/serve documents.
+	// and Close; the replay goroutine drives every ingest lane through
+	// Replay. That is exactly the concurrency contract internal/serve
+	// documents.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	type replayResult struct {
-		accepted, dropped uint64
-		err               error
+		accepted uint64
+		err      error
 	}
 	done := make(chan replayResult, 1)
 	go func() {
-		// Replay streams through the batch face (native for trace
-		// sources, adapted for PCAP) and flushes the pending tail at
-		// end of stream. With more than one producer lane the replay
-		// fans out RSS-style: decode workers compute keys and folds
-		// off the lanes, and every lane ingests concurrently.
-		var acc, drop uint64
-		var err error
-		if *producers > 1 {
-			acc, drop, err = srv.ReplayParallel(ctx, serve.AsBatchSource(src))
-		} else {
-			acc, drop, err = srv.Replay(ctx, src)
-		}
-		done <- replayResult{acc, drop, err}
+		// Replay reads the source in batches on one goroutine, decode
+		// workers compute keys and folds off the lanes, every lane
+		// ingests concurrently, and each flushes its pending tail at
+		// end of stream.
+		acc, err := srv.Replay(ctx, src)
+		done <- replayResult{acc, err}
 	}()
 
 	sigc := make(chan os.Signal, 1)
@@ -233,7 +219,7 @@ supervise:
 	}
 
 	st := srv.Stats()
-	fmt.Printf("accepted=%d dropped=%d decisions=%d\n", res.accepted, res.dropped, decisions.Load())
+	fmt.Printf("accepted=%d dropped=%d decisions=%d\n", res.accepted, st.QueueDrops, decisions.Load())
 	if *statsJSON {
 		raw, err := json.Marshal(st)
 		if err != nil {

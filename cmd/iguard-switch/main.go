@@ -44,8 +44,8 @@ func main() {
 		shards     = flag.Int("shards", 1, "shard worker count for the replay")
 		queue      = flag.Int("queue", 1024, "per-shard mailbox depth")
 		dropPolicy = flag.String("drop-policy", "block", "backpressure policy: block or drop")
-		batchSize  = flag.Int("batch", 64, "per-shard hand-off batch size (0 or 1 serves per packet)")
-		batchFlush = flag.Duration("batch-flush", 0, "trace-time flush deadline for partial batches, checked once per ingest call (0 = 1ms when batching)")
+		batchSize  = flag.Int("batch", serve.DefaultBatchSize, "per-shard hand-off batch size (1 hands every packet off alone)")
+		batchFlush = flag.Duration("batch-flush", 0, "trace-time flush deadline for partial batches, checked once per ingest call (0 = 1ms)")
 		producers  = flag.Int("producers", 1, "ingest lane count (RSS-style; >1 replays through concurrent producer goroutines)")
 	)
 	flag.Parse()
@@ -83,20 +83,18 @@ func main() {
 	}
 
 	// OnDecision fires on shard goroutines; (lane, seq) identifies a
-	// packet, with seq dense per lane over accepted packets, so each
-	// lane gets its own arrays and writes land on distinct indices,
-	// visible after Close (the drain is a happens-before barrier).
-	nLanes := *producers
-	if nLanes < 1 {
-		nLanes = 1
-	}
+	// packet, with seq dense per lane over ingested packets (the Drop
+	// policy leaves shed ones undecided), so each lane gets its own
+	// arrays and writes land on distinct indices, visible after Close
+	// (the drain is a happens-before barrier).
+	nLanes := max(*producers, 1)
 	preds := make([][]int, nLanes)
 	truths := make([][]int, nLanes)
-	scores := make([][]float64, nLanes)
+	decided := make([][]bool, nLanes)
 	for l := range preds {
 		preds[l] = make([]int, len(packets))
 		truths[l] = make([]int, len(packets))
-		scores[l] = make([]float64, len(packets))
+		decided[l] = make([]bool, len(packets))
 	}
 	cfg := iguard.DefaultServeConfig()
 	cfg.Shards = *shards
@@ -107,7 +105,7 @@ func main() {
 	cfg.Producers = *producers
 	cfg.OnDecision = func(_ int, lane uint32, seq uint64, p *iguard.Packet, d switchsim.Decision) {
 		preds[lane][seq] = d.Predicted
-		scores[lane][seq] = float64(d.Predicted)
+		decided[lane][seq] = true
 		if truth != nil && truth.IsMalicious(features.KeyOf(p)) {
 			truths[lane][seq] = 1
 		}
@@ -117,13 +115,7 @@ func main() {
 		fatal(err)
 	}
 
-	var dropped uint64
-	if *producers > 1 {
-		_, dropped, err = srv.ReplayParallel(context.Background(), serve.NewTraceSource(packets))
-	} else {
-		_, dropped, err = srv.Replay(context.Background(), serve.NewTraceSource(packets))
-	}
-	if err != nil {
+	if _, err := srv.Replay(context.Background(), serve.NewTraceSource(packets)); err != nil {
 		fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -133,8 +125,8 @@ func main() {
 
 	fmt.Printf("replayed %d packets in %v across %d shard(s) (%.0f pkt/s simulated host rate)\n",
 		st.Packets, st.WallElapsed.Round(time.Millisecond), len(st.Shards), st.PPS)
-	if dropped > 0 {
-		fmt.Printf("queue drops: %d\n", dropped)
+	if st.QueueDrops > 0 {
+		fmt.Printf("queue drops: %d\n", st.QueueDrops)
 	}
 	fmt.Println("\npacket paths (Fig. 4):")
 	for p := switchsim.PathRed; p <= switchsim.PathGreen; p++ {
@@ -150,16 +142,20 @@ func main() {
 	fmt.Printf("whitelist matcher: %s\n", matcherInfo(det.CompiledRules()))
 
 	if truth != nil {
-		// Flatten each lane's dense prefix (Stats reports per-lane
-		// ingest counts); the per-packet metrics are order-invariant,
-		// so lane concatenation order does not matter.
+		// Score only the decided packets of each lane's dense prefix
+		// (Stats reports per-lane ingest counts): a shed packet has no
+		// prediction. The per-packet metrics are order-invariant, so
+		// lane concatenation order does not matter.
 		var flatScores []float64
 		var flatPreds, flatTruths []int
 		for _, l := range st.Lanes {
-			n := int(l.Ingested)
-			flatScores = append(flatScores, scores[l.Lane][:n]...)
-			flatPreds = append(flatPreds, preds[l.Lane][:n]...)
-			flatTruths = append(flatTruths, truths[l.Lane][:n]...)
+			for seq, ok := range decided[l.Lane][:l.Ingested] {
+				if ok {
+					flatScores = append(flatScores, float64(preds[l.Lane][seq]))
+					flatPreds = append(flatPreds, preds[l.Lane][seq])
+					flatTruths = append(flatTruths, truths[l.Lane][seq])
+				}
+			}
 		}
 		s := metrics.Evaluate(flatScores, flatPreds, flatTruths)
 		fmt.Printf("\nper-packet detection: macroF1=%.3f PRAUC=%.3f ROCAUC=%.3f\n", s.MacroF1, s.PRAUC, s.ROCAUC)

@@ -662,22 +662,6 @@ func (dep *Deployment) Close() error {
 	return nil
 }
 
-// Deploy installs the detector's whitelist on a simulated switch wired
-// to a fresh controller, both ready to process packets. On an invalid
-// config it returns (nil, nil); NewDeployment reports what was wrong.
-//
-// Deprecated: use NewDeployment, which validates the config, reports
-// errors, and returns a *Deployment carrying the same pair plus Close
-// and Stats. No in-tree caller uses this shim; it remains only for
-// external code written against the tuple form.
-func (d *Detector) Deploy(cfg DeployConfig) (*switchsim.Switch, *controller.Controller) {
-	dep, err := d.NewDeployment(cfg)
-	if err != nil {
-		return nil, nil
-	}
-	return dep.Switch, dep.Controller
-}
-
 // ServeConfig parameterises NewServer. The zero value serves on one
 // shard with the default deployment.
 type ServeConfig struct {
@@ -695,17 +679,16 @@ type ServeConfig struct {
 	// SweepEvery is the trace-time cadence of per-shard timeout
 	// sweeps; zero disables them.
 	SweepEvery time.Duration
-	// BatchSize, when > 1, switches the ingest→decide path to batch
-	// hand-off: packets accumulate into per-shard batches delivered as
-	// one mailbox operation and decided by one batch pipeline pass.
-	// Decisions are identical to the per-packet path; only the
-	// per-packet overhead is amortised. 0 or 1 serves per packet.
+	// BatchSize is the most packets accumulated per shard before they
+	// are handed off as one mailbox operation and decided by one batch
+	// pipeline pass (0 = serve.DefaultBatchSize; 1 hands every packet
+	// off alone). Decisions are identical at every size; only the
+	// per-packet overhead is amortised.
 	BatchSize int
 	// BatchFlush bounds, in trace time, how long a partial batch may
-	// wait before being handed off (0 = 1ms when batching is on). It
-	// is checked once per ingest call, so a call whose packets span
-	// many intervals hands each shard one batch. See
-	// serve.Config.BatchFlush.
+	// wait before being handed off (0 = 1ms). It is checked once per
+	// ingest call, so a call whose packets span many intervals hands
+	// each shard one batch. See serve.Config.BatchFlush.
 	BatchFlush time.Duration
 	// Producers is the ingest lane count (0 = 1). Each lane is an
 	// independent sequence space driven by one producer goroutine; see
@@ -749,16 +732,13 @@ func (c ServeConfig) Validate() error {
 		add("QueueDepth must be non-negative (0 means default), got %d", c.QueueDepth)
 	}
 	if c.BatchSize < 0 {
-		add("BatchSize must be non-negative (0 means unbatched), got %d", c.BatchSize)
+		add("BatchSize must be non-negative (0 means default), got %d", c.BatchSize)
 	}
 	if c.BatchSize > serve.MaxBatchSize {
 		add("BatchSize must be at most %d, got %d", serve.MaxBatchSize, c.BatchSize)
 	}
 	if c.BatchFlush < 0 {
 		add("BatchFlush must be non-negative (0 means default), got %v", c.BatchFlush)
-	}
-	if c.BatchFlush > 0 && c.BatchSize <= 1 {
-		add("BatchFlush (%v) requires BatchSize > 1, got %d", c.BatchFlush, c.BatchSize)
 	}
 	if c.Producers < 0 {
 		add("Producers must be non-negative (0 means 1), got %d", c.Producers)
@@ -771,14 +751,14 @@ func (c ServeConfig) Validate() error {
 
 // DefaultServeConfig returns a serving configuration matching the
 // evaluation's deployment on four shards with trace-paced sweeps at
-// the flow-timeout cadence and batched hand-off (64-packet batches,
-// 1ms trace-time flush deadline).
+// the flow-timeout cadence and serve.DefaultBatchSize-packet batches
+// with a 1ms trace-time flush deadline.
 func DefaultServeConfig() ServeConfig {
 	return ServeConfig{
 		Deploy:     DefaultDeployConfig(),
 		Shards:     4,
 		SweepEvery: 5 * time.Second,
-		BatchSize:  64,
+		BatchSize:  serve.DefaultBatchSize,
 	}
 }
 

@@ -96,7 +96,7 @@ func TestFederationEndToEnd(t *testing.T) {
 	// Attack at node A.
 	attack := traffic.MustGenerateAttack(traffic.UDPDDoS, 8, 8)
 	traceA := traffic.GenerateBenign(9, 50).Merge(attack)
-	if _, _, err := srvA.Replay(context.Background(), serve.NewTraceSource(traceA.Packets)); err != nil {
+	if _, err := srvA.Replay(context.Background(), serve.NewTraceSource(traceA.Packets)); err != nil {
 		t.Fatal(err)
 	}
 	installedA := srvA.Stats().RulesInstalled
@@ -138,7 +138,7 @@ drain:
 	if wantRed == 0 {
 		t.Fatal("no attack packet belongs to a propagated flow")
 	}
-	if _, _, err := srvB.Replay(context.Background(), serve.NewTraceSource(attack.Packets)); err != nil {
+	if _, err := srvB.Replay(context.Background(), serve.NewTraceSource(attack.Packets)); err != nil {
 		t.Fatal(err)
 	}
 	stB := srvB.Stats()
@@ -207,7 +207,7 @@ func TestFederationDeadHubStandaloneIdentical(t *testing.T) {
 			}
 			agent.Start()
 		}
-		if _, _, err := srv.Replay(context.Background(), serve.NewTraceSource(trace.Packets)); err != nil {
+		if _, err := srv.Replay(context.Background(), serve.NewTraceSource(trace.Packets)); err != nil {
 			t.Fatal(err)
 		}
 		if federated {

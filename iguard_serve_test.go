@@ -2,6 +2,7 @@ package iguard
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -73,12 +74,12 @@ func TestNewServerServes(t *testing.T) {
 	}
 	attack := traffic.MustGenerateAttack(traffic.UDPDDoS, 31, 10)
 	trace := traffic.GenerateBenign(32, 40).Merge(attack)
-	accepted, dropped, err := srv.Replay(context.Background(), serve.NewTraceSource(trace.Packets))
+	accepted, err := srv.Replay(context.Background(), serve.NewTraceSource(trace.Packets))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped != 0 || accepted != uint64(len(trace.Packets)) {
-		t.Fatalf("accepted=%d dropped=%d of %d", accepted, dropped, len(trace.Packets))
+	if accepted != uint64(len(trace.Packets)) {
+		t.Fatalf("accepted=%d of %d", accepted, len(trace.Packets))
 	}
 	// Hot-swap the (same) model mid-life: the running server keeps
 	// serving the detector's compiled whitelist.
@@ -89,8 +90,8 @@ func TestNewServerServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
-	if st.Packets != len(trace.Packets) {
-		t.Fatalf("processed=%d want %d", st.Packets, len(trace.Packets))
+	if st.Packets != len(trace.Packets) || st.QueueDrops != 0 {
+		t.Fatalf("processed=%d queueDrops=%d, want %d and 0", st.Packets, st.QueueDrops, len(trace.Packets))
 	}
 	if st.Digests == 0 {
 		t.Fatal("no digests reached the controllers")
@@ -106,8 +107,9 @@ func TestNewServerServes(t *testing.T) {
 // TestNewServerDecisionsMatchDeployment pins serving against the
 // library: a 1-shard server must reproduce exactly what a bare
 // Deployment computes packet by packet (the serve layer adds routing,
-// never semantics). Sweeps are off on both sides so the comparison is
-// pure packet-path.
+// never semantics), whether every packet is handed off alone (batch
+// size 1) or in default-sized batches. Sweeps are off on both sides so
+// the comparison is pure packet-path.
 func TestNewServerDecisionsMatchDeployment(t *testing.T) {
 	det := trainTiny(t)
 	trace := traffic.GenerateBenign(33, 30).Merge(traffic.MustGenerateAttack(traffic.Mirai, 34, 8))
@@ -126,24 +128,28 @@ func TestNewServerDecisionsMatchDeployment(t *testing.T) {
 		want[i] = dep.Switch.ProcessPacket(&trace.Packets[i])
 	}
 
-	got := make([]switchsim.Decision, len(trace.Packets))
-	scfg := ServeConfig{Shards: 1, OnDecision: func(_ int, _ uint32, seq uint64, _ *Packet, d switchsim.Decision) {
-		got[seq] = d
-	}}
-	srv, err := det.NewServer(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := srv.Replay(context.Background(), serve.NewTraceSource(trace.Packets)); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("packet %d (%v): deployment=%+v server=%+v",
-				i, features.KeyOf(&trace.Packets[i]), want[i], got[i])
-		}
+	for _, batch := range []int{1, serve.DefaultBatchSize} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			got := make([]switchsim.Decision, len(trace.Packets))
+			scfg := ServeConfig{Shards: 1, BatchSize: batch, OnDecision: func(_ int, _ uint32, seq uint64, _ *Packet, d switchsim.Decision) {
+				got[seq] = d
+			}}
+			srv, err := det.NewServer(scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.Replay(context.Background(), serve.NewTraceSource(trace.Packets)); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("packet %d (%v): deployment=%+v server=%+v",
+						i, features.KeyOf(&trace.Packets[i]), want[i], got[i])
+				}
+			}
+		})
 	}
 }

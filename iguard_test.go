@@ -202,27 +202,6 @@ func TestDeployEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDeployDeprecatedWrapper pins the legacy tuple signature to the
-// same pair NewDeployment builds, including the nil-pair answer for a
-// config NewDeployment would reject.
-func TestDeployDeprecatedWrapper(t *testing.T) {
-	det := trainTiny(t)
-	sw, ctrl := det.Deploy(DefaultDeployConfig())
-	if sw == nil || ctrl == nil {
-		t.Fatal("Deploy returned nil components")
-	}
-	benign := traffic.GenerateBenign(9, 10)
-	for i := range benign.Packets {
-		sw.ProcessPacket(&benign.Packets[i])
-	}
-	if sw.ActiveFlows() == 0 {
-		t.Error("wrapper switch is not wired up")
-	}
-	if sw, ctrl := det.Deploy(DeployConfig{Slots: -1}); sw != nil || ctrl != nil {
-		t.Error("Deploy of an invalid config returned non-nil components")
-	}
-}
-
 // TestDeployConfigValidate covers the deployment validator: every
 // broken field reported at once, and NewDeployment refusing the lot.
 func TestDeployConfigValidate(t *testing.T) {
@@ -271,9 +250,6 @@ func TestServeConfigValidate(t *testing.T) {
 	}
 	if err := (ServeConfig{BatchSize: serve.MaxBatchSize + 1}).Validate(); err == nil {
 		t.Error("oversized BatchSize validated")
-	}
-	if err := (ServeConfig{BatchFlush: time.Millisecond}).Validate(); err == nil {
-		t.Error("BatchFlush without batching validated")
 	}
 	det := trainTiny(t)
 	if srv, err := det.NewServer(ServeConfig{BatchSize: -1}); err == nil || srv != nil {

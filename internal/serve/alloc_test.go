@@ -9,16 +9,18 @@ import (
 )
 
 // TestShardLoopAllocationFree extends switchsim's ProcessPacket pin to
-// the full serving surface: one iteration ingests a batch on the
-// producer side, the shard worker decides each packet, and a stats
-// snapshot drains the mailbox as a barrier — ingest→decide→stats, the
-// same surface `iguard-vet -only hotpath,shardown` guards statically.
+// the full serving surface at BatchSize 1: one iteration ingests 64
+// single-packet calls, each handed off as a batch of one, the shard
+// worker decides each packet, and a stats snapshot drains the mailbox
+// as a barrier — ingest→decide→stats, the same surface `iguard-vet
+// -only hotpath,shardown` guards statically.
 // AllocsPerRun counts mallocs process-wide, so the worker goroutine's
 // allocations are in scope, not just the producer's.
 func TestShardLoopAllocationFree(t *testing.T) {
 	srv, err := New(Config{
 		Shards:     1,
 		QueueDepth: 256,
+		BatchSize:  1,
 		Policy:     Block,
 		NewShard: func(int) Shard {
 			// High threshold keeps every flow accumulating (brown path,
@@ -62,8 +64,9 @@ func TestShardLoopAllocationFree(t *testing.T) {
 	}
 
 	// Warm up: flow-table slots settle, the mailbox round-trips once.
+	lane := srv.Producer(0)
 	for i := range pkts {
-		if _, err := srv.Ingest(&pkts[i]); err != nil {
+		if _, _, err := lane.IngestBatch(pkts[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,7 +74,7 @@ func TestShardLoopAllocationFree(t *testing.T) {
 
 	if n := testing.AllocsPerRun(200, func() {
 		for i := range pkts {
-			if _, err := srv.Ingest(&pkts[i]); err != nil {
+			if _, _, err := lane.IngestBatch(pkts[i : i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -40,7 +40,7 @@ func TestApplyInstallBlocksFlow(t *testing.T) {
 	if again, err := srv.ApplyInstall(target); err != nil || again {
 		t.Fatalf("duplicate ApplyInstall: applied=%v err=%v, want false <nil>", again, err)
 	}
-	if _, _, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets)); err != nil {
+	if _, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets)); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -155,7 +155,7 @@ func TestOnBlacklistObserver(t *testing.T) {
 	// Reject-all rules make every flow malicious at the threshold, so
 	// the replay produces local installs that must all be observed.
 	trace := mixedTrace(t)
-	if _, _, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets)); err != nil {
+	if _, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets)); err != nil {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
@@ -229,7 +229,7 @@ func TestApplyConcurrentWithTraffic(t *testing.T) {
 		}(g)
 	}
 	for round := 0; round < 5; round++ {
-		if _, _, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets)); err != nil {
+		if _, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets)); err != nil {
 			t.Fatal(err)
 		}
 	}

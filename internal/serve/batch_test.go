@@ -30,9 +30,9 @@ func (r *seqRecorder) onDecision(_ int, _ uint32, seq uint64, _ *netpkt.Packet, 
 	r.seen[seq] = true
 }
 
-// coreCounters projects the Stats fields that must be invariant under
-// batching (queue mechanics aside, the pipeline must do identical
-// work).
+// coreCounters projects the Stats fields that must not depend on how
+// packets travel to the shards (queue mechanics aside, the pipeline
+// must do identical work).
 type coreCounters struct {
 	Packets    int
 	PathCounts [6]int
@@ -53,35 +53,94 @@ func coreOf(st Stats) coreCounters {
 	}
 }
 
-// runBatched replays the shared trace through a server with the given
-// batch size (0 = unbatched) and returns the per-seq decisions plus
-// the core counters.
+// Shared shape of the decision-equivalence runs: the sequential model
+// and every server over the same trace use these.
+const (
+	equivQueueDepth = 256
+	equivSweepEvery = 50 * time.Millisecond
+)
+
+func equivShardFactory() func(int) Shard { return testShardFactory(smallFlowsFL(700), 8, time.Hour) }
+
+// sequentialDecisions is the decision oracle, computed without a
+// server: bare per-shard switches from the same factory, each packet
+// routed by the shard hash and decided by ProcessPacket in trace order,
+// and every shard swept at each SweepEvery crossing of the trace clock,
+// before the crossing packet. It returns the per-packet decisions and
+// the counters a server must reproduce at any batch size.
+func sequentialDecisions(shards int, pkts []netpkt.Packet) ([]decisionRecord, coreCounters) {
+	newShard := equivShardFactory()
+	sws := make([]*switchsim.Switch, shards)
+	for i := range sws {
+		sws[i] = newShard(i).Switch
+	}
+	recs := make([]decisionRecord, len(pkts))
+	var core coreCounters
+	var lastSeen, lastTick int64
+	for i := range pkts {
+		ns := pkts[i].Timestamp.UnixNano()
+		switch {
+		case i == 0:
+			lastSeen, lastTick = ns, ns
+		case ns > lastSeen:
+			lastSeen = ns
+			if time.Duration(ns-lastTick) >= equivSweepEvery {
+				lastTick = ns
+				core.Ticks++
+				for _, sw := range sws {
+					sw.SweepTimeouts(time.Unix(0, ns).UTC())
+				}
+			}
+		}
+		_, fold := features.CanonicalFoldOf(&pkts[i])
+		d := sws[features.BiHashFold(fold, shardSeed)%uint32(shards)].ProcessPacket(&pkts[i])
+		recs[i] = decisionRecord{Path: d.Path, Predicted: d.Predicted, Dropped: d.Dropped}
+	}
+	for _, sw := range sws {
+		c := sw.Counters
+		core.Packets += c.Packets
+		for p, n := range c.PathCounts {
+			core.PathCounts[p] += n
+		}
+		core.Drops += c.Drops
+		core.Digests += c.Digests
+		core.Sweeps += c.Sweeps
+	}
+	return recs, core
+}
+
+// runBatched replays the trace through a server with the given batch
+// size via Replay and returns the per-seq decisions plus the core
+// counters.
 func runBatched(t *testing.T, shards, batch int, pkts []netpkt.Packet) ([]decisionRecord, coreCounters, Stats) {
 	t.Helper()
 	rec := newSeqRecorder(len(pkts))
 	srv, err := New(Config{
 		Shards:     shards,
-		QueueDepth: 256,
+		QueueDepth: equivQueueDepth,
 		Policy:     Block,
-		SweepEvery: 50 * time.Millisecond,
+		SweepEvery: equivSweepEvery,
 		BatchSize:  batch,
-		NewShard:   testShardFactory(smallFlowsFL(700), 8, time.Hour),
+		NewShard:   equivShardFactory(),
 		OnDecision: rec.onDecision,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted, dropped, err := srv.ReplayBatch(context.Background(), NewTraceSource(pkts))
+	accepted, err := srv.Replay(context.Background(), NewTraceSource(pkts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped != 0 || accepted != uint64(len(pkts)) {
-		t.Fatalf("accepted=%d dropped=%d want accepted=%d dropped=0", accepted, dropped, len(pkts))
+	if accepted != uint64(len(pkts)) {
+		t.Fatalf("accepted=%d want %d", accepted, len(pkts))
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
+	if st.QueueDrops != 0 {
+		t.Fatalf("queueDrops=%d under Block", st.QueueDrops)
+	}
 	for seq, ok := range rec.seen {
 		if !ok {
 			t.Fatalf("seq %d never decided", seq)
@@ -104,12 +163,13 @@ func sparseTrace(pkts []netpkt.Packet, gap time.Duration) []netpkt.Packet {
 }
 
 // TestBatchDecisionsMatchUnbatched is the serving-layer equivalence
-// pin of the batch redesign: at every batch size × shard count, the
-// per-sequence decision stream and the pipeline counters must be
-// byte-identical to the unbatched path over the same trace — batching
-// changes how packets travel to the shards, never what is decided. The
-// sparse variant spaces packets 250µs apart on top of their own
-// timing, so a 64-packet ingest call spans 16 BatchFlush deadlines.
+// pin: at every batch size × shard count, the per-sequence decision
+// stream and the pipeline counters of a server driven through Replay
+// must be byte-identical to the sequential per-packet model
+// (sequentialDecisions) over the same trace — batching changes how
+// packets travel to the shards, never what is decided. The sparse
+// variant spaces packets 250µs apart on top of their own timing, so a
+// 64-packet ingest call spans 16 BatchFlush deadlines.
 func TestBatchDecisionsMatchUnbatched(t *testing.T) {
 	dense := mixedTrace(t).Packets
 	for _, tc := range []struct {
@@ -120,26 +180,23 @@ func TestBatchDecisionsMatchUnbatched(t *testing.T) {
 		{"sparse/", sparseTrace(dense, 250*time.Microsecond)},
 	} {
 		for _, shards := range []int{1, 2, 8} {
-			base, baseCore, baseStats := runBatched(t, shards, 0, tc.pkts)
-			if baseStats.Ticks == 0 {
+			want, wantCore := sequentialDecisions(shards, tc.pkts)
+			if wantCore.Ticks == 0 {
 				t.Fatal("trace never crossed a sweep tick; the ordering check is vacuous")
-			}
-			if baseStats.Batches != 0 {
-				t.Fatalf("unbatched run reported %d batches", baseStats.Batches)
 			}
 			for _, batch := range []int{1, 7, 64, 1024} {
 				t.Run(fmt.Sprintf("%sshards=%d/batch=%d", tc.name, shards, batch), func(t *testing.T) {
 					got, gotCore, st := runBatched(t, shards, batch, tc.pkts)
-					for seq := range base {
-						if got[seq] != base[seq] {
-							t.Fatalf("seq %d: batched %+v, unbatched %+v", seq, got[seq], base[seq])
+					for seq := range want {
+						if got[seq] != want[seq] {
+							t.Fatalf("seq %d: server %+v, sequential model %+v", seq, got[seq], want[seq])
 						}
 					}
-					if gotCore != baseCore {
-						t.Errorf("core counters diverge: batched %+v, unbatched %+v", gotCore, baseCore)
+					if gotCore != wantCore {
+						t.Errorf("core counters diverge: server %+v, sequential model %+v", gotCore, wantCore)
 					}
-					if batch > 1 && st.Batches == 0 {
-						t.Error("batched run reported zero batch hand-offs")
+					if st.Batches == 0 || (batch == 1 && st.Batches != uint64(st.Packets)) {
+						t.Errorf("%d batch hand-offs for %d packets at batch size %d", st.Batches, st.Packets, batch)
 					}
 				})
 			}
@@ -177,10 +234,10 @@ func TestBatchFlushDeadline(t *testing.T) {
 	}
 	defer srv.Close()
 
+	lane := srv.Producer(0)
 	ingest := func(at time.Duration, wantDecided int) {
 		t.Helper()
-		p := flowPacket(1, at)
-		if _, err := srv.Ingest(&p); err != nil {
+		if _, _, err := lane.IngestBatch([]netpkt.Packet{flowPacket(1, at)}); err != nil {
 			t.Fatal(err)
 		}
 		if got := srv.Stats().Packets; got != wantDecided {
@@ -197,7 +254,7 @@ func TestBatchFlushDeadline(t *testing.T) {
 	// The deadline re-anchors at p3: p4 waits again.
 	ingest(2500*time.Microsecond, 3)
 	// Explicit Flush delivers the rest.
-	if err := srv.Flush(); err != nil {
+	if err := lane.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Stats().Packets; got != 4 {
@@ -236,6 +293,7 @@ func TestBatchFlushOncePerCall(t *testing.T) {
 		}
 		return pkts, uint64(len(hit))
 	}
+	lane := srv.Producer(0)
 	// handOffs runs fn and returns how many batches it handed off.
 	handOffs := func(fn func() error) uint64 {
 		t.Helper()
@@ -252,7 +310,7 @@ func TestBatchFlushOncePerCall(t *testing.T) {
 		if recv < 2 {
 			t.Fatalf("packets reached %d shard(s); the test needs several", recv)
 		}
-		got := handOffs(func() error { _, _, err := srv.IngestBatch(pkts); return err })
+		got := handOffs(func() error { _, _, err := lane.IngestBatch(pkts); return err })
 		if got != recv {
 			t.Fatalf("call from %v handed off %d batches, want %d (one per receiving shard)", start, got, recv)
 		}
@@ -260,10 +318,10 @@ func TestBatchFlushOncePerCall(t *testing.T) {
 	// A call that ends 39µs after the last flush point stays pending
 	// until Flush.
 	pkts, recv := flows((2*n-1)*time.Millisecond, time.Microsecond)
-	if got := handOffs(func() error { _, _, err := srv.IngestBatch(pkts); return err }); got != 0 {
+	if got := handOffs(func() error { _, _, err := lane.IngestBatch(pkts); return err }); got != 0 {
 		t.Fatalf("call inside the deadline handed off %d batches, want 0", got)
 	}
-	if got := handOffs(srv.Flush); got != recv {
+	if got := handOffs(lane.Flush); got != recv {
 		t.Fatalf("Flush handed off %d batches, want %d", got, recv)
 	}
 	if got := srv.Stats().Packets; got != 3*n {
@@ -288,7 +346,7 @@ func TestBatchDropPolicySheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.ReplayBatch(context.Background(), NewTraceSource(trace.Packets)); err != nil {
+	if _, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets)); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -303,15 +361,16 @@ func TestBatchDropPolicySheds(t *testing.T) {
 	}
 }
 
-// TestIngestBatchUnbatched pins the fallback: IngestBatch on an
-// unbatched server must behave exactly like per-packet Ingest, with
-// the read buffer safely reusable (each packet is copied before its
-// pointer crosses the mailbox).
+// TestIngestBatchUnbatched pins IngestBatch at BatchSize 1: every
+// packet is handed off alone, every one is decided, and the read
+// buffer is safely reusable on return (each packet is copied into a
+// lane-owned buffer before it crosses the mailbox).
 func TestIngestBatchUnbatched(t *testing.T) {
 	trace := mixedTrace(t)
 	rec := newSeqRecorder(len(trace.Packets))
 	srv, err := New(Config{
 		Shards:     2,
+		BatchSize:  1,
 		Policy:     Block,
 		NewShard:   testShardFactory(smallFlowsFL(700), 8, time.Hour),
 		OnDecision: rec.onDecision,
@@ -323,7 +382,7 @@ func TestIngestBatchUnbatched(t *testing.T) {
 	var accepted uint64
 	for off := 0; off < len(trace.Packets); off += len(buf) {
 		n := copy(buf, trace.Packets[off:])
-		a, d, err := srv.IngestBatch(buf[:n])
+		a, d, err := srv.Producer(0).IngestBatch(buf[:n])
 		if err != nil || d != 0 {
 			t.Fatalf("IngestBatch: accepted=%d dropped=%d err=%v", a, d, err)
 		}
@@ -339,8 +398,8 @@ func TestIngestBatchUnbatched(t *testing.T) {
 	if accepted != uint64(len(trace.Packets)) {
 		t.Fatalf("accepted=%d want %d", accepted, len(trace.Packets))
 	}
-	if st := srv.Stats(); st.Packets != len(trace.Packets) {
-		t.Fatalf("processed=%d want %d", st.Packets, len(trace.Packets))
+	if st := srv.Stats(); st.Packets != len(trace.Packets) || st.Batches != uint64(len(trace.Packets)) {
+		t.Fatalf("processed=%d in %d batches, want %d in %d", st.Packets, st.Batches, len(trace.Packets), len(trace.Packets))
 	}
 	for seq, ok := range rec.seen {
 		if !ok {
@@ -349,46 +408,14 @@ func TestIngestBatchUnbatched(t *testing.T) {
 	}
 }
 
-// TestAsBatchSource covers the Source→BatchSource adapter and
-// TraceSource's native batch face: full batches, the partial tail, and
-// EOF termination.
-func TestAsBatchSource(t *testing.T) {
-	trace := mixedTrace(t)
-	want := trace.Packets[:10]
-
-	// Adapter over a plain Source (hide TraceSource's native method).
-	plain := struct{ Source }{NewTraceSource(want)}
-	b := AsBatchSource(plain)
-	if _, native := b.(*TraceSource); native {
-		t.Fatal("adapter expected, got the source itself")
-	}
+// TestTraceSourceNextBatch covers TraceSource's Source face: full
+// batches, the partial tail, and EOF termination.
+func TestTraceSourceNextBatch(t *testing.T) {
+	want := mixedTrace(t).Packets[:10]
+	ts := NewTraceSource(want)
 	buf := make([]netpkt.Packet, 4)
 	var got []netpkt.Packet
-	for {
-		n, err := b.NextBatch(buf)
-		got = append(got, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("adapter read %d packets, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Timestamp != want[i].Timestamp || got[i].SrcPort != want[i].SrcPort {
-			t.Fatalf("packet %d differs through adapter", i)
-		}
-	}
-
-	// Native TraceSource batch face; AsBatchSource must pass it through.
-	ts := NewTraceSource(want)
-	if _, native := AsBatchSource(ts).(*TraceSource); !native {
-		t.Fatal("TraceSource should be its own BatchSource")
-	}
-	got = got[:0]
+	var sizes []int
 	for {
 		n, err := ts.NextBatch(buf)
 		got = append(got, buf[:n]...)
@@ -398,13 +425,14 @@ func TestAsBatchSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sizes = append(sizes, n)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("native read %d packets, want %d", len(got), len(want))
+	if fmt.Sprint(sizes) != "[4 4 2]" {
+		t.Fatalf("batch sizes %v, want [4 4 2]", sizes)
 	}
 	for i := range want {
 		if got[i].Timestamp != want[i].Timestamp || got[i].SrcPort != want[i].SrcPort {
-			t.Fatalf("packet %d differs natively", i)
+			t.Fatalf("packet %d differs", i)
 		}
 	}
 }
@@ -428,9 +456,6 @@ func TestConfigValidateBatch(t *testing.T) {
 	if err := (Config{NewShard: func(int) Shard { return Shard{} }, BatchSize: MaxBatchSize + 1}).Validate(); err == nil {
 		t.Error("oversized BatchSize validated")
 	}
-	if err := (Config{NewShard: func(int) Shard { return Shard{} }, BatchFlush: time.Millisecond}).Validate(); err == nil {
-		t.Error("BatchFlush without batching validated")
-	}
 	if _, err := New(Config{NewShard: func(int) Shard { return Shard{} }, BatchSize: -1}); err == nil {
 		t.Error("New accepted a negative BatchSize")
 	}
@@ -438,7 +463,7 @@ func TestConfigValidateBatch(t *testing.T) {
 
 // TestBatchedLoopAllocationFree is the batched twin of
 // TestShardLoopAllocationFree: one iteration ingests a full batch
-// (producer copy, hand-off, worker ProcessBatch, buffer recycle) and
+// (producer copy, hand-off, worker ProcessBatch, ring reuse) and
 // drains via a stats message; the whole cycle must not touch the heap.
 func TestBatchedLoopAllocationFree(t *testing.T) {
 	srv, err := New(Config{
@@ -484,13 +509,14 @@ func TestBatchedLoopAllocationFree(t *testing.T) {
 		<-ack
 	}
 
-	if _, _, err := srv.IngestBatch(pkts); err != nil {
+	lane := srv.Producer(0)
+	if _, _, err := lane.IngestBatch(pkts); err != nil {
 		t.Fatal(err)
 	}
 	drain()
 
 	if n := testing.AllocsPerRun(200, func() {
-		if _, _, err := srv.IngestBatch(pkts); err != nil {
+		if _, _, err := lane.IngestBatch(pkts); err != nil {
 			t.Fatal(err)
 		}
 		drain()

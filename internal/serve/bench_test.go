@@ -98,8 +98,10 @@ const sparseGap = 100 * time.Microsecond
 
 // BenchmarkServeThroughput measures end-to-end ingest→decision packet
 // rate across shard counts on the same synthetic workload (ns/op is
-// per packet, drain included), driving the batched face the daemons
-// use: IngestBatch in 64-packet slices over a BatchSize-64 server. On
+// per packet, drain included), driving the face the daemons use:
+// IngestBatch in 64-packet slices, over a BatchSize-64 server for the
+// shards=N and sparse/shards=N cases and a BatchSize-1 server for the
+// batch=1/shards=N cases, where every packet is its own hand-off. On
 // a multi-core host the 4-shard run should sustain at least twice the
 // 1-shard pps; on a single core the shard counts only measure the
 // runtime's overhead. The dense cases keep the trace's own timestamps,
@@ -111,46 +113,47 @@ const sparseGap = 100 * time.Microsecond
 func BenchmarkServeThroughput(b *testing.B) {
 	pkts := benchPackets(b)
 	pl := benchPLRules(256)
-	const batch = 64
-	for _, sparse := range []bool{false, true} {
+	const chunkLen = 64
+	for _, c := range []struct {
+		prefix string
+		batch  int
+		sparse bool
+	}{{"", 64, false}, {"sparse/", 64, true}, {"batch=1/", 1, false}} {
 		for _, shards := range []int{1, 2, 4, 8} {
-			name := fmt.Sprintf("shards=%d", shards)
-			if sparse {
-				name = "sparse/" + name
-			}
-			b.Run(name, func(b *testing.B) {
+			b.Run(fmt.Sprintf("%sshards=%d", c.prefix, shards), func(b *testing.B) {
 				srv, err := New(Config{
 					Shards:     shards,
 					QueueDepth: 1024,
 					Policy:     Block,
-					BatchSize:  batch,
+					BatchSize:  c.batch,
 					NewShard:   benchShardFactory(pl),
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				buf := make([]netpkt.Packet, batch)
+				lane := srv.Producer(0)
+				buf := make([]netpkt.Packet, chunkLen)
 				b.ResetTimer()
 				b.ReportAllocs()
 				for n := 0; n < b.N; {
-					off := n % (len(pkts) - batch)
-					chunk := batch
+					off := n % (len(pkts) - chunkLen)
+					chunk := chunkLen
 					if rem := b.N - n; rem < chunk {
 						chunk = rem
 					}
 					in := pkts[off : off+chunk]
-					if sparse {
+					if c.sparse {
 						in = buf[:copy(buf, in)]
 						for i := range in {
 							in[i].Timestamp = pkts[0].Timestamp.Add(time.Duration(n+i) * sparseGap)
 						}
 					}
-					if _, _, err := srv.IngestBatch(in); err != nil {
+					if _, _, err := lane.IngestBatch(in); err != nil {
 						b.Fatal(err)
 					}
 					n += chunk
 				}
-				if err := srv.Flush(); err != nil {
+				if err := lane.Flush(); err != nil {
 					b.Fatal(err)
 				}
 				if err := srv.Close(); err != nil {
@@ -228,43 +231,6 @@ func BenchmarkServeThroughputMP(b *testing.B) {
 				}(srv.Producer(l), share[l])
 			}
 			wg.Wait()
-			if err := srv.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			st := srv.Stats()
-			if st.Packets != b.N {
-				b.Fatalf("processed %d packets, want %d", st.Packets, b.N)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pps")
-		})
-	}
-}
-
-// BenchmarkServeThroughputUnbatched keeps the pre-batching per-packet
-// Ingest series alive so the batched numbers above have an in-tree
-// baseline to be compared against.
-func BenchmarkServeThroughputUnbatched(b *testing.B) {
-	pkts := benchPackets(b)
-	pl := benchPLRules(256)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			srv, err := New(Config{
-				Shards:     shards,
-				QueueDepth: 1024,
-				Policy:     Block,
-				NewShard:   benchShardFactory(pl),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := srv.Ingest(&pkts[i%len(pkts)]); err != nil {
-					b.Fatal(err)
-				}
-			}
 			if err := srv.Close(); err != nil {
 				b.Fatal(err)
 			}

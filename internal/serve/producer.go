@@ -2,18 +2,15 @@ package serve
 
 // This file is the per-lane ingest face of the runtime. A Producer is
 // one RSS-style sequence lane: it owns a dense monotone sequence
-// counter, its own per-shard pending batch buffers, and its own view
+// counter, its own ring of batch buffers per shard, and its own view
 // of the trace clock — nothing hot is shared with other lanes, so N
 // producers feed the shard workers concurrently the way N NIC queues
 // feed cores. Canonical flow keys and key folds are computed here, on
-// the producer side (or accepted precomputed via IngestDecoded, the
-// hand-off ParallelBatchSource uses), so parsing and hashing overlap
-// the shard workers' matching.
+// the producer side (or arrive precomputed from Replay's decode
+// workers), so parsing and hashing overlap the shard workers'
+// matching.
 
 import (
-	"context"
-	"errors"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -21,17 +18,12 @@ import (
 	"iguard/internal/netpkt"
 )
 
-// ErrDecodedLenMismatch is returned by IngestDecoded when the packet,
-// key, and fold slices disagree in length. (A static error: the
-// decoded ingest path is a hot path and must not allocate to fail.)
-var ErrDecodedLenMismatch = errors.New("serve: IngestDecoded: pkts, keys, and folds must have equal lengths")
-
 // Producer is one ingest lane. Obtain lanes from Server.Producer;
 // every method must be called from one goroutine at a time per lane,
 // while distinct lanes run concurrently. Each lane numbers its packets
 // with its own dense monotone sequence (delivered to OnDecision as
-// (lane, seq)); the lane owns its pending batch buffers and flush
-// deadline, so one slow lane never stalls another's hand-off.
+// (lane, seq)); the lane owns its batch buffers and flush deadline, so
+// one slow lane never stalls another's hand-off.
 type Producer struct {
 	s    *Server
 	lane uint32
@@ -50,73 +42,80 @@ type Producer struct {
 	lastSeen  int64
 	lastFlush int64
 
-	// pending is the lane's private fill buffer for each shard
-	// (pending[i] feeds shard i); nil when batching is off. Buffers
-	// recycle through the shards' shared free pools, whose capacity
-	// covers one pending per lane (see New).
-	pending []*pktBatch
+	// rings holds the lane's batch buffers for each shard (rings[i]
+	// feeds shard i).
+	rings []batchRing
+}
+
+// batchRing is one lane's private buffers for one shard: bufs[i] is
+// the pending batch being filled, and each hand-off moves i on. The
+// shard's mailbox holds C = ⌈QueueDepth/BatchSize⌉ messages and the
+// ring holds C+2 buffers, which makes reuse safe without the worker
+// ever handing a buffer back. Go's memory model orders the kth receive
+// on a channel of capacity C before the (k+C)th send completes, and
+// the worker finishes each message before it receives the next; so
+// once a send completes, the message sent C+1 sends earlier — counting
+// every lane's and every control message — has been fully consumed.
+// Between two hand-offs of one buffer its lane makes C+1 other sends
+// to the shard, so the buffer the ring comes back to is always free
+// again: a hand-off is one channel operation.
+type batchRing struct {
+	bufs []*pktBatch
+	i    int
 }
 
 // Lane returns the lane's index — the lane value OnDecision sees for
 // every packet this producer ingests.
 func (p *Producer) Lane() uint32 { return p.lane }
 
-// Ingest routes one packet to its flow's shard. It returns (true, nil)
-// when the packet was queued (or, in batch mode, copied into its
-// shard's pending batch — the caller's packet is then immediately
-// reusable), (false, nil) when the Drop policy shed it, and (false,
-// ErrClosed) after Close. In unbatched mode the packet must not be
-// mutated by the caller afterwards. In batch mode under the Drop
-// policy, sheds happen per batch at hand-off and are reported via
-// Stats.QueueDrops, not this return. Lane goroutine only.
+// IngestBatch routes a slice of packets to their shards in one call.
+// Every packet is copied into the lane's pending batches, so pkts is
+// immediately reusable on return, and the BatchFlush deadline is
+// checked once, after the last packet. It returns (len(pkts), 0, nil),
+// or ErrClosed after Close. dropped is always 0: under the Drop policy
+// sheds happen per batch at hand-off, after each packet has taken its
+// sequence number, and are counted in Stats.QueueDrops. Lane goroutine
+// only.
 //
 //iguard:hotpath
-func (p *Producer) Ingest(pkt *netpkt.Packet) (bool, error) {
-	s := p.s
-	if s.closed.Load() {
-		return false, ErrClosed
+func (p *Producer) IngestBatch(pkts []netpkt.Packet) (accepted, dropped uint64, err error) {
+	if p.s.closed.Load() {
+		return 0, 0, ErrClosed
 	}
+	for i := range pkts {
+		key, fold := features.CanonicalFoldOf(&pkts[i])
+		p.enqueue(&pkts[i], key, fold)
+	}
+	p.flushIfDue()
+	return uint64(len(pkts)), 0, nil
+}
+
+// ingestDecoded is IngestBatch for packets whose canonical flow keys
+// and key folds Replay's decode workers already computed; keys[i] and
+// folds[i] belong to pkts[i]. Lane goroutine only.
+//
+//iguard:hotpath
+func (p *Producer) ingestDecoded(pkts []netpkt.Packet, keys []features.FlowKey, folds []uint32) error {
+	if p.s.closed.Load() {
+		return ErrClosed
+	}
+	for i := range pkts {
+		p.enqueue(&pkts[i], keys[i], folds[i])
+	}
+	p.flushIfDue()
+	return nil
+}
+
+// enqueue advances the trace clock to the packet, copies it into the
+// lane's pending batch for its shard, and hands the batch off when it
+// fills. Lane goroutine only.
+//
+//iguard:hotpath
+func (p *Producer) enqueue(pkt *netpkt.Packet, key features.FlowKey, fold uint32) {
 	p.observe(pkt.Timestamp)
-	key, fold := features.CanonicalFoldOf(pkt)
-	shard := s.shardOf(fold)
-	if s.batching() {
-		p.enqueue(shard, pkt, key, fold)
-		p.flushIfDue()
-		return true, nil
-	}
-	return p.sendPacket(shard, pkt)
-}
-
-// sendPacket queues one packet on the unbatched per-packet path,
-// stamping it with the lane's next sequence number.
-//
-//iguard:hotpath
-func (p *Producer) sendPacket(shard int, pkt *netpkt.Packet) (bool, error) {
-	s := p.s
-	w := s.shards[shard]
-	m := shardMsg{kind: msgPacket, pkt: pkt, lane: p.lane, seq: p.nextSeq}
-	if s.cfg.Policy == Drop {
-		select {
-		case w.in <- m:
-		default:
-			w.queueDrops.Add(1)
-			s.queueDrops.Add(1)
-			return false, nil
-		}
-	} else {
-		w.in <- m
-	}
-	p.nextSeq++
-	p.ingested.Store(p.nextSeq)
-	return true, nil
-}
-
-// enqueue copies one packet into the lane's pending batch for its
-// shard, handing the batch off when it fills. Lane goroutine only.
-//
-//iguard:hotpath
-func (p *Producer) enqueue(shard int, pkt *netpkt.Packet, key features.FlowKey, fold uint32) {
-	b := p.pending[shard]
+	shard := p.s.shardOf(fold)
+	r := &p.rings[shard]
+	b := r.bufs[r.i]
 	b.pkts[b.n] = *pkt
 	b.keys[b.n] = key
 	b.folds[b.n] = fold
@@ -124,27 +123,26 @@ func (p *Producer) enqueue(shard int, pkt *netpkt.Packet, key features.FlowKey, 
 	b.n++
 	p.nextSeq++
 	p.ingested.Store(p.nextSeq)
-	if b.n >= p.s.cfg.BatchSize {
+	if b.n == len(b.pkts) {
 		p.flushShard(shard)
 	}
 }
 
 // flushShard hands the lane's pending batch for one shard to the
-// worker as one mailbox operation, stamping it with the lane, and
-// takes a recycled buffer as the new pending one. Under the Drop
-// policy a full mailbox sheds the whole batch — the batch analogue of
-// shedding single packets — leaving its sequence numbers as gaps in
-// the lane's sequence space. Lane goroutine only.
+// worker as one mailbox operation and moves the ring on to the next
+// buffer. Under the Drop policy a full mailbox sheds the whole batch,
+// leaving its sequence numbers as gaps in the lane's sequence space.
+// Lane goroutine only.
 //
 //iguard:hotpath
 func (p *Producer) flushShard(shard int) {
-	b := p.pending[shard]
+	r := &p.rings[shard]
+	b := r.bufs[r.i]
 	if b.n == 0 {
 		return
 	}
 	s := p.s
 	w := s.shards[shard]
-	b.lane = p.lane
 	m := shardMsg{kind: msgBatch, batch: b}
 	if s.cfg.Policy == Drop {
 		select {
@@ -158,14 +156,17 @@ func (p *Producer) flushShard(shard int) {
 	} else {
 		w.in <- m
 	}
-	// Never blocks after a successful hand-off: the pool holds one
-	// buffer per lane beyond what the mailbox plus the worker can hold.
-	p.pending[shard] = <-w.free
+	// The next buffer is free again (see batchRing).
+	r.i++
+	if r.i == len(r.bufs) {
+		r.i = 0
+	}
+	r.bufs[r.i].n = 0
 }
 
 // flushIfDue is the lane's BatchFlush deadline: once the lane's clock
 // has moved BatchFlush past its last flush point, every pending batch
-// is handed off. The ingest faces call it once per call, after the
+// is handed off. The ingest calls check it once per call, after the
 // call's packets are enqueued — not per packet — so a call whose
 // packets span many BatchFlush intervals of trace time still makes one
 // hand-off per shard, and the packet that crosses the deadline leaves
@@ -190,18 +191,15 @@ func (p *Producer) flushPending() {
 	}
 }
 
-// Flush hands the lane's still-pending batched packets to their
-// shards. It is the explicit companion to the BatchFlush deadline:
-// call it when the stream pauses and the pending tail should be
-// decided now (Replay and ReplayBatch call it at end of stream).
-// No-op when batching is off. Lane goroutine only.
+// Flush hands the lane's still-pending packets to their shards. It is
+// the explicit companion to the BatchFlush deadline: call it when the
+// stream pauses and the pending tail should be decided now (Replay
+// calls it at end of stream). Lane goroutine only.
 func (p *Producer) Flush() error {
 	if p.s.closed.Load() {
 		return ErrClosed
 	}
-	if p.s.batching() {
-		p.flushPending()
-	}
+	p.flushPending()
 	return nil
 }
 
@@ -252,175 +250,10 @@ func (p *Producer) observe(ts time.Time) {
 	// lane's packets in lane order relative to the tick. Other lanes'
 	// pendings are theirs to flush; workers drop the rare stale tick
 	// that overtakes a slower lane's earlier one (see runShard).
-	if s.batching() {
-		p.flushPending()
-	}
+	p.flushPending()
 	for _, w := range s.shards {
 		// Ticks are never shed: they carry timeout semantics, and a
 		// full queue only delays (bounded) rather than loses them.
 		w.in <- shardMsg{kind: msgTick, now: now}
-	}
-}
-
-// IngestBatch routes a slice of packets to their shards in one call:
-// the batch analogue of Ingest, and what Replay/ReplayBatch drive. In
-// batch mode every packet is copied into the lane's pending batches,
-// so pkts is immediately reusable on return, and the BatchFlush
-// deadline is checked once, after the last packet; on an unbatched
-// server each packet is individually copied and queued, preserving
-// Ingest's semantics (including per-packet Drop-policy sheds, reported
-// in the dropped count). Lane goroutine only.
-//
-//iguard:hotpath
-func (p *Producer) IngestBatch(pkts []netpkt.Packet) (accepted, dropped uint64, err error) {
-	s := p.s
-	if s.closed.Load() {
-		return 0, 0, ErrClosed
-	}
-	if s.batching() {
-		for i := range pkts {
-			pk := &pkts[i]
-			p.observe(pk.Timestamp)
-			key, fold := features.CanonicalFoldOf(pk)
-			p.enqueue(s.shardOf(fold), pk, key, fold)
-		}
-		p.flushIfDue()
-		return uint64(len(pkts)), 0, nil
-	}
-	for i := range pkts {
-		// The per-packet path sends the pointer itself through the
-		// mailbox, so the packet must outlive the caller's buffer.
-		pk := pkts[i]
-		ok, err := p.Ingest(&pk)
-		if err != nil {
-			return accepted, dropped, err
-		}
-		if ok {
-			accepted++
-		} else {
-			dropped++
-		}
-	}
-	return accepted, dropped, nil
-}
-
-// IngestDecoded is IngestBatch for packets whose canonical flow keys
-// and key folds were already computed on the producer side — the
-// ParallelBatchSource hand-off, where decode workers fold while the
-// lane ingests. The three slices must be equal-length and parallel
-// (keys[i], folds[i] for pkts[i], canonical); folds are trusted, not
-// recomputed, so a wrong fold misroutes its flow. Lane goroutine only.
-//
-//iguard:hotpath
-func (p *Producer) IngestDecoded(pkts []netpkt.Packet, keys []features.FlowKey, folds []uint32) (accepted, dropped uint64, err error) {
-	s := p.s
-	if s.closed.Load() {
-		return 0, 0, ErrClosed
-	}
-	if len(keys) != len(pkts) || len(folds) != len(pkts) {
-		return 0, 0, ErrDecodedLenMismatch
-	}
-	if s.batching() {
-		for i := range pkts {
-			pk := &pkts[i]
-			p.observe(pk.Timestamp)
-			p.enqueue(s.shardOf(folds[i]), pk, keys[i], folds[i])
-		}
-		p.flushIfDue()
-		return uint64(len(pkts)), 0, nil
-	}
-	for i := range pkts {
-		pk := pkts[i] // the pointer outlives the caller's buffer
-		p.observe(pk.Timestamp)
-		ok, err := p.sendPacket(s.shardOf(folds[i]), &pk)
-		if err != nil {
-			return accepted, dropped, err
-		}
-		if ok {
-			accepted++
-		} else {
-			dropped++
-		}
-	}
-	return accepted, dropped, nil
-}
-
-// Replay pumps a source into the lane until io.EOF, a source error,
-// or context cancellation, returning the accepted and shed counts. It
-// is ReplayBatch over the source's batch face (native when the source
-// implements BatchSource, adapted otherwise). Lane goroutine only.
-func (p *Producer) Replay(ctx context.Context, src Source) (accepted, dropped uint64, err error) {
-	return p.ReplayBatch(ctx, AsBatchSource(src))
-}
-
-// replayReadLen is the read-buffer size Replay/ReplayBatch use when
-// the server itself is unbatched (batched servers read BatchSize
-// packets at a time).
-const replayReadLen = 64
-
-// ReplayBatch pumps a batch source into the lane until io.EOF, a
-// source or ingest error, or context cancellation, returning the
-// accepted and shed counts. Packets are read up to a batch at a time
-// into one reused buffer — IngestBatch copies them out, so the replay
-// loop allocates nothing per packet on a batched server. At end of
-// stream the lane's pending tail is flushed before returning. Lane
-// goroutine only.
-func (p *Producer) ReplayBatch(ctx context.Context, src BatchSource) (accepted, dropped uint64, err error) {
-	size := p.s.cfg.BatchSize
-	if size <= 1 {
-		size = replayReadLen
-	}
-	buf := make([]netpkt.Packet, size)
-	for {
-		if err := ctx.Err(); err != nil {
-			return accepted, dropped, err
-		}
-		n, rerr := src.NextBatch(buf)
-		if n > 0 {
-			a, d, ierr := p.IngestBatch(buf[:n])
-			accepted += a
-			dropped += d
-			if ierr != nil {
-				return accepted, dropped, ierr
-			}
-		}
-		if rerr == io.EOF {
-			return accepted, dropped, p.Flush()
-		}
-		if rerr != nil {
-			return accepted, dropped, rerr
-		}
-	}
-}
-
-// ReplayDecoded pumps a ParallelBatchSource into the lane until the
-// source is exhausted, an ingest error, or context cancellation. It
-// is the decoded-batch analogue of ReplayBatch: each batch arrives
-// with keys and folds already computed by the source's decode workers
-// and goes straight to IngestDecoded, and the consumed buffer is
-// recycled back to the source. Several lanes may run ReplayDecoded
-// against one source concurrently — that is the multi-producer replay
-// (see Server.ReplayParallel). Lane goroutine only.
-func (p *Producer) ReplayDecoded(ctx context.Context, src *ParallelBatchSource) (accepted, dropped uint64, err error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return accepted, dropped, err
-		}
-		db, rerr := src.NextDecoded()
-		if db != nil {
-			a, d, ierr := p.IngestDecoded(db.Pkts, db.Keys, db.Folds)
-			src.Recycle(db)
-			accepted += a
-			dropped += d
-			if ierr != nil {
-				return accepted, dropped, ierr
-			}
-		}
-		if rerr == io.EOF {
-			return accepted, dropped, p.Flush()
-		}
-		if rerr != nil {
-			return accepted, dropped, rerr
-		}
 	}
 }

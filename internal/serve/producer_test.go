@@ -15,75 +15,109 @@ import (
 	"iguard/internal/switchsim"
 )
 
-// runParallel replays the trace through a server with the given lane
-// count via ReplayParallel and returns the per-seq decisions (valid
-// only when lanes == 1 — multi-lane seqs collide across lanes) plus
-// the final stats.
-func runParallel(t *testing.T, shards, batch, lanes int, pkts []netpkt.Packet) ([]decisionRecord, coreCounters, Stats) {
+// runIngestBatch drives the trace through one lane's IngestBatch in
+// 64-packet calls, with the server shaped like runBatched's, and
+// returns the per-seq decisions plus the core counters.
+func runIngestBatch(t *testing.T, shards, batch int, pkts []netpkt.Packet) ([]decisionRecord, coreCounters) {
 	t.Helper()
 	rec := newSeqRecorder(len(pkts))
 	srv, err := New(Config{
 		Shards:     shards,
-		QueueDepth: 256,
+		QueueDepth: equivQueueDepth,
 		Policy:     Block,
-		SweepEvery: 50 * time.Millisecond,
+		SweepEvery: equivSweepEvery,
 		BatchSize:  batch,
-		Producers:  lanes,
-		NewShard:   testShardFactory(smallFlowsFL(700), 8, time.Hour),
-		OnDecision: func(shard int, lane uint32, seq uint64, p *netpkt.Packet, d switchsim.Decision) {
-			if lane != 0 {
-				t.Errorf("single-lane replay produced lane %d", lane)
-			}
-			rec.onDecision(shard, lane, seq, p, d)
-		},
+		NewShard:   equivShardFactory(),
+		OnDecision: rec.onDecision,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted, dropped, err := srv.ReplayParallel(context.Background(), NewTraceSource(pkts))
-	if err != nil {
-		t.Fatal(err)
+	lane := srv.Producer(0)
+	for off := 0; off < len(pkts); off += 64 {
+		if _, _, err := lane.IngestBatch(pkts[off:min(off+64, len(pkts))]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if dropped != 0 || accepted != uint64(len(pkts)) {
-		t.Fatalf("accepted=%d dropped=%d want accepted=%d dropped=0", accepted, dropped, len(pkts))
+	if err := lane.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
 	for seq, ok := range rec.seen {
 		if !ok {
 			t.Fatalf("seq %d never decided", seq)
 		}
 	}
-	return rec.recs, coreOf(st), st
+	return rec.recs, coreOf(srv.Stats())
 }
 
-// TestReplayParallelSingleLaneByteIdentical is the degenerate-case pin
-// of the multi-producer redesign: with one lane, ReplayParallel (one
-// reader, one decode worker, one consumer — a pipeline in source
-// order) must produce exactly the decision stream and counters of the
-// plain single-producer ReplayBatch, at several shard × batch shapes.
+// TestReplayParallelSingleLaneByteIdentical pins the decode pipeline
+// behind Replay: with one lane (one reader, one decode worker, one
+// consumer — a pipeline in source order), the keys and folds computed
+// off the lane must drive exactly the decision stream and counters of
+// the same lane folding producer-side in IngestBatch, at several
+// shard × batch shapes (batch 0 takes the default).
 func TestReplayParallelSingleLaneByteIdentical(t *testing.T) {
 	trace := mixedTrace(t)
 	for _, shards := range []int{1, 4} {
 		for _, batch := range []int{0, 64} {
 			t.Run(fmt.Sprintf("shards=%d/batch=%d", shards, batch), func(t *testing.T) {
-				base, baseCore, _ := runBatched(t, shards, batch, trace.Packets)
-				got, gotCore, st := runParallel(t, shards, batch, 1, trace.Packets)
+				base, baseCore := runIngestBatch(t, shards, batch, trace.Packets)
+				got, gotCore, st := runBatched(t, shards, batch, trace.Packets)
 				for seq := range base {
 					if got[seq] != base[seq] {
-						t.Fatalf("seq %d: parallel %+v, sequential %+v", seq, got[seq], base[seq])
+						t.Fatalf("seq %d: Replay %+v, IngestBatch %+v", seq, got[seq], base[seq])
 					}
 				}
 				if gotCore != baseCore {
-					t.Errorf("core counters diverge: parallel %+v, sequential %+v", gotCore, baseCore)
+					t.Errorf("core counters diverge: Replay %+v, IngestBatch %+v", gotCore, baseCore)
 				}
 				if len(st.Lanes) != 1 || st.Lanes[0].Ingested != uint64(len(trace.Packets)) {
 					t.Errorf("lane stats = %+v, want one lane with %d ingested", st.Lanes, len(trace.Packets))
 				}
 			})
 		}
+	}
+}
+
+// TestReplayMultiProducer drives Replay across several lanes at once:
+// every packet is accepted, ingested on some lane and decided exactly
+// once, and no flow is observed on two shards.
+func TestReplayMultiProducer(t *testing.T) {
+	const shards, lanes = 4, 3
+	trace := mixedTrace(t)
+	flowRec := newPerFlowRecorder(shards)
+	srv, err := New(Config{
+		Shards:     shards,
+		BatchSize:  16,
+		Producers:  lanes,
+		NewShard:   testShardFactory(smallFlowsFL(700), 8, time.Hour),
+		OnDecision: flowRec.onDecision,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	n := uint64(len(trace.Packets))
+	if accepted != n || st.Ingested != n || st.Packets != len(trace.Packets) || len(st.Lanes) != lanes {
+		t.Fatalf("accepted=%d ingested=%d packets=%d lanes=%d, want %d/%d/%d/%d",
+			accepted, st.Ingested, st.Packets, len(st.Lanes), n, n, n, lanes)
+	}
+	decided := 0
+	for _, recs := range flowRec.merge(t) {
+		decided += len(recs)
+	}
+	if decided != len(trace.Packets) {
+		t.Fatalf("%d decisions, want %d", decided, len(trace.Packets))
 	}
 }
 
@@ -226,50 +260,17 @@ func TestProducerErrorsAfterClose(t *testing.T) {
 	}
 	trace := mixedTrace(t)
 	p := srv.Producer(1)
-	if _, err := p.Ingest(&trace.Packets[0]); !errors.Is(err, ErrClosed) {
-		t.Errorf("Ingest after Close: err = %v, want ErrClosed", err)
-	}
 	if _, _, err := p.IngestBatch(trace.Packets[:4]); !errors.Is(err, ErrClosed) {
 		t.Errorf("IngestBatch after Close: err = %v, want ErrClosed", err)
 	}
-	keys := make([]features.FlowKey, 4)
-	folds := make([]uint32, 4)
-	if _, _, err := p.IngestDecoded(trace.Packets[:4], keys, folds); !errors.Is(err, ErrClosed) {
-		t.Errorf("IngestDecoded after Close: err = %v, want ErrClosed", err)
+	if err := p.ingestDecoded(trace.Packets[:4], make([]features.FlowKey, 4), make([]uint32, 4)); !errors.Is(err, ErrClosed) {
+		t.Errorf("ingestDecoded after Close: err = %v, want ErrClosed", err)
 	}
 	if err := p.Flush(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Flush after Close: err = %v, want ErrClosed", err)
 	}
-	if _, _, err := srv.ReplayParallel(context.Background(), NewTraceSource(trace.Packets)); !errors.Is(err, ErrClosed) {
-		t.Errorf("ReplayParallel after Close: err = %v, want ErrClosed", err)
-	}
-}
-
-// TestIngestDecodedLengthMismatch pins the parallel-slice contract:
-// disagreeing lengths are rejected with the static error, before any
-// packet is ingested.
-func TestIngestDecodedLengthMismatch(t *testing.T) {
-	srv, err := New(Config{
-		Shards:    1,
-		BatchSize: 8,
-		NewShard:  testShardFactory(acceptAllFL(), 8, time.Hour),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	trace := mixedTrace(t)
-	pkts := trace.Packets[:4]
-	keys := make([]features.FlowKey, 3)
-	folds := make([]uint32, 4)
-	if _, _, err := srv.Producer(0).IngestDecoded(pkts, keys, folds); !errors.Is(err, ErrDecodedLenMismatch) {
-		t.Fatalf("short keys: err = %v, want ErrDecodedLenMismatch", err)
-	}
-	if _, _, err := srv.Producer(0).IngestDecoded(pkts, make([]features.FlowKey, 4), folds[:2]); !errors.Is(err, ErrDecodedLenMismatch) {
-		t.Fatalf("short folds: err = %v, want ErrDecodedLenMismatch", err)
-	}
-	if st := srv.Stats(); st.Ingested != 0 {
-		t.Fatalf("rejected IngestDecoded still ingested %d packets", st.Ingested)
+	if _, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets)); !errors.Is(err, ErrClosed) {
+		t.Errorf("Replay after Close: err = %v, want ErrClosed", err)
 	}
 }
 
@@ -289,7 +290,7 @@ func TestIngestBatchOversized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, d, err := srv.IngestBatch(trace.Packets) // one call, whole trace
+	a, d, err := srv.Producer(0).IngestBatch(trace.Packets) // one call, whole trace
 	if err != nil || d != 0 || a != uint64(len(trace.Packets)) {
 		t.Fatalf("IngestBatch = (%d, %d, %v), want (%d, 0, nil)", a, d, err, len(trace.Packets))
 	}
@@ -327,9 +328,15 @@ func TestConcurrentLaneDropConservation(t *testing.T) {
 		wg.Add(1)
 		go func(p *Producer) {
 			defer wg.Done()
-			// Every lane replays the whole trace — maximal cross-lane
+			// Every lane ingests the whole trace — maximal cross-lane
 			// contention on the shard mailboxes.
-			if _, _, err := p.ReplayBatch(context.Background(), NewTraceSource(trace.Packets)); err != nil {
+			for off := 0; off < len(trace.Packets); off += 64 {
+				if _, _, err := p.IngestBatch(trace.Packets[off:min(off+64, len(trace.Packets))]); err != nil {
+					t.Errorf("lane %d: %v", p.Lane(), err)
+					return
+				}
+			}
+			if err := p.Flush(); err != nil {
 				t.Errorf("lane %d: %v", p.Lane(), err)
 			}
 		}(srv.Producer(l))
@@ -410,11 +417,7 @@ func TestStatsLaneAggregation(t *testing.T) {
 // every consumer sees io.EOF at the end.
 func TestParallelBatchSourceDecodesAll(t *testing.T) {
 	trace := mixedTrace(t)
-	ps := NewParallelBatchSource(NewTraceSource(trace.Packets), ParallelSourceConfig{
-		Workers:   3,
-		BatchSize: 7,
-	})
-	defer ps.Close()
+	ps := newParallelBatchSource(context.Background(), NewTraceSource(trace.Packets), 3, 7, 8)
 	var mu sync.Mutex
 	got := map[uint64]int{} // packet timestamp+len fingerprint -> count
 	var wg sync.WaitGroup
@@ -423,27 +426,25 @@ func TestParallelBatchSourceDecodesAll(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				db, err := ps.NextDecoded()
-				if db != nil {
-					for i := range db.Pkts {
-						key, fold := features.CanonicalFoldOf(&db.Pkts[i])
-						if db.Keys[i] != key || db.Folds[i] != fold {
-							t.Errorf("decoded key/fold (%v, %d) != CanonicalFoldOf (%v, %d)", db.Keys[i], db.Folds[i], key, fold)
-						}
-						fp := uint64(db.Pkts[i].Timestamp.UnixNano())<<16 | uint64(db.Pkts[i].Length&0xffff)
-						mu.Lock()
-						got[fp]++
-						mu.Unlock()
-					}
-					ps.Recycle(db)
-				}
+				db, err := ps.next()
 				if err == io.EOF {
 					return
 				}
 				if err != nil {
-					t.Errorf("NextDecoded: %v", err)
+					t.Errorf("next: %v", err)
 					return
 				}
+				for i := range db.pkts {
+					key, fold := features.CanonicalFoldOf(&db.pkts[i])
+					if db.keys[i] != key || db.folds[i] != fold {
+						t.Errorf("decoded key/fold (%v, %d) != CanonicalFoldOf (%v, %d)", db.keys[i], db.folds[i], key, fold)
+					}
+					fp := uint64(db.pkts[i].Timestamp.UnixNano())<<16 | uint64(db.pkts[i].Length&0xffff)
+					mu.Lock()
+					got[fp]++
+					mu.Unlock()
+				}
+				ps.free <- db
 			}
 		}()
 	}
@@ -473,32 +474,30 @@ func (b *blockingSource) NextBatch([]netpkt.Packet) (int, error) {
 }
 
 // TestParallelBatchSourceClose pins early teardown: consumers blocked
-// on a silent source unblock with ErrSourceClosed as soon as Close
-// runs, without waiting for the source.
+// on a silent source unblock with the context's error as soon as it is
+// cancelled, without waiting for the source.
 func TestParallelBatchSourceClose(t *testing.T) {
 	src := &blockingSource{release: make(chan struct{})}
 	defer close(src.release) // let the reader goroutine exit at test end
-	ps := NewParallelBatchSource(src, ParallelSourceConfig{Workers: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	ps := newParallelBatchSource(ctx, src, 2, 8, 6)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ps.NextDecoded()
+		_, err := ps.next()
 		errc <- err
 	}()
 	select {
 	case err := <-errc:
-		t.Fatalf("NextDecoded returned early: %v", err)
+		t.Fatalf("next returned early: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	ps.Close()
-	ps.Close() // idempotent
+	cancel()
 	select {
 	case err := <-errc:
-		if !errors.Is(err, ErrSourceClosed) {
-			t.Fatalf("NextDecoded after Close: err = %v, want ErrSourceClosed", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("next after cancel: err = %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("NextDecoded still blocked after Close")
+		t.Fatal("next still blocked after cancel")
 	}
-	// Recycle after Close must not block either.
-	ps.Recycle(&DecodedBatch{})
 }

@@ -1,13 +1,10 @@
 package serve
 
-// This file overlaps trace decoding with ingest: a ParallelBatchSource
-// wraps a BatchSource with a pool of decode workers that compute each
-// packet's canonical flow key and key fold before any producer lane
-// sees the batch, so parsing and CanonicalFoldOf hashing run
-// concurrently with the lanes' routing and the shards' matching.
-// Server.ReplayParallel is the assembled multi-producer replay: one
-// reader, N decode workers, one consuming goroutine per lane, each
-// lane feeding the shards through Producer.IngestDecoded.
+// This file is the server's stream ingest: Replay reads a Source on
+// one goroutine, computes each packet's canonical flow key and key
+// fold on decode workers, and serves the decoded batches to one
+// consumer per producer lane, so parsing and CanonicalFoldOf hashing
+// run concurrently with the lanes' routing and the shards' matching.
 
 import (
 	"context"
@@ -19,112 +16,69 @@ import (
 	"iguard/internal/netpkt"
 )
 
-// ErrSourceClosed is returned by NextDecoded after Close (directly or
-// via the context wired in ReplayParallel) interrupts the stream.
-var ErrSourceClosed = errors.New("serve: parallel batch source closed")
+// replayReadLen is the smallest read Replay makes: servers with
+// BatchSize below it still read this many packets per Source call, so
+// a small batch size does not also shrink every pipeline stage's unit.
+const replayReadLen = 64
 
-// DecodedBatch is one ParallelBatchSource hand-off unit: up to
-// BatchSize packets with their canonical flow keys and key folds
-// already computed, parallel slice-for-slice — exactly the shape
-// Producer.IngestDecoded consumes. Buffers are pooled; return them
-// with Recycle when consumed.
-type DecodedBatch struct {
-	Pkts  []netpkt.Packet
-	Keys  []features.FlowKey
-	Folds []uint32
+// decodedBatch is one pipeline hand-off unit: packets read from the
+// source with their canonical flow keys and key folds, parallel
+// slice-for-slice (keys and folds keep full length; the first
+// len(pkts) entries are valid).
+type decodedBatch struct {
+	pkts  []netpkt.Packet
+	keys  []features.FlowKey
+	folds []uint32
 }
 
-// reset restores the batch's slices to full capacity for the next
-// read.
-func (db *DecodedBatch) reset() {
-	db.Pkts = db.Pkts[:cap(db.Pkts)]
-	db.Keys = db.Keys[:cap(db.Keys)]
-	db.Folds = db.Folds[:cap(db.Folds)]
-}
+// parallelBatchSource fans one Source (not required to be safe for
+// concurrent use — a single reader goroutine owns it) across decode
+// workers and serves the decoded batches to any number of consumers.
+// It runs until the source ends or ctx is done: consumers loop next
+// and hand each consumed batch back on free; once the stream ends,
+// every consumer's next returns the source's final error (io.EOF for a
+// clean end), or ctx's error after cancellation.
+type parallelBatchSource struct {
+	ctx  context.Context
+	free chan *decodedBatch // pooled buffers; capacity covers the pool
+	fill chan *decodedBatch // read, not yet decoded
+	out  chan *decodedBatch // decoded, ready for a consumer
 
-// ParallelSourceConfig parameterises NewParallelBatchSource.
-type ParallelSourceConfig struct {
-	// Workers is the decode worker count. Defaults to 1 — which, with
-	// a single consumer, preserves the source's batch order exactly
-	// (one reader feeding one worker feeding one consumer is a
-	// pipeline, not a race).
-	Workers int
-	// BatchSize is the packet capacity of each pooled buffer.
-	// Defaults to replayReadLen.
-	BatchSize int
-	// Depth is the pooled buffer count. It bounds how far the reader
-	// may run ahead of the consumers; the reader blocks on an empty
-	// pool, which is the backpressure. Defaults to 2*Workers + 2.
-	Depth int
-}
+	// wg counts the reader and the decode workers; out closes once all
+	// have exited.
+	wg sync.WaitGroup
 
-func (c ParallelSourceConfig) withDefaults() ParallelSourceConfig {
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = replayReadLen
-	}
-	if c.Depth <= 0 {
-		c.Depth = 2*c.Workers + 2
-	}
-	return c
-}
-
-// ParallelBatchSource fans one BatchSource (not required to be safe
-// for concurrent use — a single reader goroutine owns it) across
-// decode workers and serves the decoded batches to any number of
-// consumers. Lifecycle: NewParallelBatchSource starts the pipeline;
-// consumers loop NextDecoded/Recycle until it returns io.EOF (every
-// consumer gets one); Close tears the pipeline down early. Errors are
-// sticky: a source read error surfaces, once, after all batches read
-// before it have been served.
-type ParallelBatchSource struct {
-	cfg  ParallelSourceConfig
-	free chan *DecodedBatch // pooled buffers
-	fill chan *DecodedBatch // read, not yet decoded
-	out  chan *DecodedBatch // decoded, ready for a consumer
-
-	done      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup // decode workers
-
-	// err is the sticky source error, io.EOF for a clean end. Written
-	// by the reader goroutine before it closes fill; every consumer
-	// read happens after out closes, which happens after the workers
-	// drain fill, which happens after that write — a pure
-	// happens-before chain, no lock needed.
+	// err is the reader's final error. It is written before the reader
+	// calls wg.Done, and consumers read it only after out closes, which
+	// happens after wg.Wait — a happens-before chain, no lock needed.
 	err error
 }
 
-// NewParallelBatchSource starts the reader and decode workers over
-// src. The source is owned by the pipeline from here on: nothing else
-// may read it, and it is NOT closed by Close (the caller opened it,
-// the caller closes it — after Close or EOF, when the reader is done
-// with it).
-func NewParallelBatchSource(src BatchSource, cfg ParallelSourceConfig) *ParallelBatchSource {
-	cfg = cfg.withDefaults()
-	ps := &ParallelBatchSource{
-		cfg:  cfg,
-		free: make(chan *DecodedBatch, cfg.Depth),
-		fill: make(chan *DecodedBatch, cfg.Depth),
-		out:  make(chan *DecodedBatch, cfg.Depth),
-		done: make(chan struct{}),
+// newParallelBatchSource starts a reader and the given number of
+// decode workers over src, with depth pooled buffers of size packets
+// each. The pool bounds how far the reader runs ahead of the
+// consumers: it blocks on an empty pool, which is the backpressure.
+// The source is owned by the pipeline from here on and is not closed
+// by it.
+func newParallelBatchSource(ctx context.Context, src Source, workers, size, depth int) *parallelBatchSource {
+	ps := &parallelBatchSource{
+		ctx:  ctx,
+		free: make(chan *decodedBatch, depth),
+		fill: make(chan *decodedBatch, depth),
+		out:  make(chan *decodedBatch, depth),
 	}
-	for i := 0; i < cfg.Depth; i++ {
-		ps.free <- &DecodedBatch{
-			Pkts:  make([]netpkt.Packet, cfg.BatchSize),
-			Keys:  make([]features.FlowKey, cfg.BatchSize),
-			Folds: make([]uint32, cfg.BatchSize),
+	for i := 0; i < depth; i++ {
+		ps.free <- &decodedBatch{
+			pkts:  make([]netpkt.Packet, size),
+			keys:  make([]features.FlowKey, size),
+			folds: make([]uint32, size),
 		}
 	}
-	ps.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
+	ps.wg.Add(workers + 1)
+	for i := 0; i < workers; i++ {
 		go ps.decodeWorker()
 	}
 	go ps.reader(src)
-	// Workers exit when the reader closes fill (or done closes); out
-	// closes only after every in-flight batch has been delivered.
 	go func() {
 		ps.wg.Wait()
 		close(ps.out)
@@ -132,28 +86,31 @@ func NewParallelBatchSource(src BatchSource, cfg ParallelSourceConfig) *Parallel
 	return ps
 }
 
-// reader is the single goroutine that touches src: it pulls pooled
-// buffers, fills them from the source, and hands them to the decode
-// workers. On EOF or error it records the sticky error and closes
-// fill, which winds the pipeline down in order.
-func (ps *ParallelBatchSource) reader(src BatchSource) {
+// reader is the single goroutine that touches src: it fills pooled
+// buffers from the source and hands them to the decode workers. On
+// the source's end or error, or on cancellation, it records the
+// final error and closes fill, which winds the workers down in order.
+func (ps *parallelBatchSource) reader(src Source) {
+	defer ps.wg.Done()
 	defer close(ps.fill)
+	var db *decodedBatch
 	for {
-		var db *DecodedBatch
-		select {
-		case db = <-ps.free:
-		case <-ps.done:
-			ps.err = ErrSourceClosed
-			return
+		if db == nil {
+			select {
+			case db = <-ps.free:
+			case <-ps.ctx.Done():
+				ps.err = ps.ctx.Err()
+				return
+			}
 		}
-		db.reset()
-		n, err := src.NextBatch(db.Pkts)
+		n, err := src.NextBatch(db.pkts[:cap(db.pkts)])
 		if n > 0 {
-			db.Pkts = db.Pkts[:n]
+			db.pkts = db.pkts[:n]
 			select {
 			case ps.fill <- db:
-			case <-ps.done:
-				ps.err = ErrSourceClosed
+				db = nil
+			case <-ps.ctx.Done():
+				ps.err = ps.ctx.Err()
 				return
 			}
 		}
@@ -167,104 +124,75 @@ func (ps *ParallelBatchSource) reader(src BatchSource) {
 // decodeWorker computes canonical keys and folds for read batches —
 // the producer-side share of the packet pipeline, moved off the
 // ingest lanes so it overlaps them.
-func (ps *ParallelBatchSource) decodeWorker() {
+func (ps *parallelBatchSource) decodeWorker() {
 	defer ps.wg.Done()
 	for db := range ps.fill {
-		n := len(db.Pkts)
-		db.Keys = db.Keys[:n]
-		db.Folds = db.Folds[:n]
-		for i := range db.Pkts {
-			db.Keys[i], db.Folds[i] = features.CanonicalFoldOf(&db.Pkts[i])
+		for i := range db.pkts {
+			db.keys[i], db.folds[i] = features.CanonicalFoldOf(&db.pkts[i])
 		}
 		select {
 		case ps.out <- db:
-		case <-ps.done:
+		case <-ps.ctx.Done():
 			return
 		}
 	}
 }
 
-// NextDecoded returns the next decoded batch. With one worker and one
-// consumer, batches arrive in source order; with several of either,
-// order across batches is unspecified (that is the concurrency).
-// After the stream ends it returns (nil, io.EOF) to every consumer —
-// or the source's error, or ErrSourceClosed after Close. The returned
-// batch is owned by the caller until it passes it to Recycle.
-func (ps *ParallelBatchSource) NextDecoded() (*DecodedBatch, error) {
+// next returns the next decoded batch, owned by the caller until it
+// sends it back on free. With one worker and one consumer, batches
+// arrive in source order; with several of either, order across batches
+// is unspecified (that is the concurrency).
+func (ps *parallelBatchSource) next() (*decodedBatch, error) {
+	if err := ps.ctx.Err(); err != nil {
+		return nil, err
+	}
 	select {
 	case db, ok := <-ps.out:
 		if !ok {
-			if ps.err == nil {
-				return nil, io.EOF
-			}
 			return nil, ps.err
 		}
 		return db, nil
-	case <-ps.done:
-		return nil, ErrSourceClosed
+	case <-ps.ctx.Done():
+		return nil, ps.ctx.Err()
 	}
 }
 
-// Recycle returns a consumed batch to the pool. Every batch obtained
-// from NextDecoded should be recycled exactly once; after Close,
-// recycling is a no-op (the pool is abandoned).
-func (ps *ParallelBatchSource) Recycle(db *DecodedBatch) {
-	select {
-	case ps.free <- db:
-	case <-ps.done:
-	}
-}
-
-// Close tears the pipeline down: the reader and workers unblock and
-// exit, and NextDecoded returns ErrSourceClosed (batches already
-// decoded may still be served first). Idempotent, safe from any
-// goroutine; ReplayParallel wires it to context cancellation.
-func (ps *ParallelBatchSource) Close() {
-	ps.closeOnce.Do(func() { close(ps.done) })
-}
-
-// ReplayParallel pumps one batch source through every ingest lane at
-// once: a ParallelBatchSource reads and decodes (canonical keys and
-// folds) off the lanes' goroutines, and each of the server's
-// Producers runs a ReplayDecoded consumer loop until the stream ends,
-// an ingest error, or ctx cancellation. Counts are summed across
-// lanes; the error is the first failure (errors.Join of every lane's,
-// in practice one). With Producers == 1 the replay is byte-identical
-// to ReplayBatch — one reader, one decode worker, one consumer is a
-// pipeline in source order. With more lanes, packets interleave
-// across lanes batch-by-batch and decisions follow the per-lane
-// ordering contract (see Config.OnDecision). The caller must not
-// drive any Producer concurrently with ReplayParallel — it occupies
-// every lane. Supervisor goroutine only.
-func (s *Server) ReplayParallel(ctx context.Context, src BatchSource) (accepted, dropped uint64, err error) {
-	size := s.cfg.BatchSize
-	if size <= 1 {
-		size = replayReadLen
-	}
-	ps := NewParallelBatchSource(src, ParallelSourceConfig{
-		Workers:   len(s.producers),
-		BatchSize: size,
-		// One in-flight buffer per pipeline stage per lane keeps every
-		// stage busy without unbounded read-ahead.
-		Depth: 3*len(s.producers) + 1,
-	})
-	stop := context.AfterFunc(ctx, ps.Close)
-	defer stop()
-	defer ps.Close()
+// Replay pumps src through every ingest lane at once until the stream
+// ends, a source or ingest error, or ctx cancellation, and returns how
+// many packets the lanes accepted — shed ones included; the Drop
+// policy counts those in Stats.QueueDrops. A reader goroutine and one
+// decode worker per lane read and fold the stream off the lanes'
+// goroutines, and each lane consumes decoded batches, ingests them,
+// and flushes its pending tail at end of stream. The error is the
+// failing lane's (errors.Join when several fail); cancellation
+// returns ctx's error. With one lane the replay is a pipeline in
+// source order, byte-identical to driving that lane's IngestBatch
+// directly; with more, packets interleave across lanes batch by batch
+// and decisions follow the per-lane ordering contract (see
+// Config.OnDecision). Replay occupies every lane, so the caller must
+// not drive a Producer concurrently with it. After a cancellation or
+// a lane's failure, Replay returns without waiting for a Source read
+// in progress; the reader goroutine exits when that read returns.
+func (s *Server) Replay(ctx context.Context, src Source) (accepted uint64, err error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // stops the reader and workers when a lane fails early
+	lanes := len(s.producers)
+	// One in-flight buffer per pipeline stage per lane keeps every
+	// stage busy without unbounded read-ahead.
+	ps := newParallelBatchSource(ctx, src, lanes, max(s.cfg.BatchSize, replayReadLen), 3*lanes+1)
 
 	var (
 		mu   sync.Mutex
 		errs []error
+		wg   sync.WaitGroup
 	)
-	var wg sync.WaitGroup
-	wg.Add(len(s.producers))
+	wg.Add(lanes)
 	for _, p := range s.producers {
 		go func(p *Producer) {
 			defer wg.Done()
-			a, d, lerr := p.ReplayDecoded(ctx, ps)
+			a, lerr := p.replay(ps)
 			mu.Lock()
 			accepted += a
-			dropped += d
 			if lerr != nil {
 				errs = append(errs, lerr)
 			}
@@ -272,5 +200,29 @@ func (s *Server) ReplayParallel(ctx context.Context, src BatchSource) (accepted,
 		}(p)
 	}
 	wg.Wait()
-	return accepted, dropped, errors.Join(errs...)
+	if len(errs) == 1 {
+		return accepted, errs[0]
+	}
+	return accepted, errors.Join(errs...)
+}
+
+// replay is one lane's consumer loop: it ingests decoded batches until
+// the stream ends, then flushes the lane's pending tail.
+func (p *Producer) replay(ps *parallelBatchSource) (accepted uint64, err error) {
+	for {
+		db, err := ps.next()
+		if err == io.EOF {
+			return accepted, p.Flush()
+		}
+		if err != nil {
+			return accepted, err
+		}
+		n := len(db.pkts)
+		err = p.ingestDecoded(db.pkts, db.keys[:n], db.folds[:n])
+		ps.free <- db // never blocks: free's capacity covers the pool
+		if err != nil {
+			return accepted, err
+		}
+		accepted += uint64(n)
+	}
 }

@@ -11,17 +11,18 @@
 // hot-swap: a new model's rules replace the running ones between
 // packets, no restart, with flow state and blacklist surviving.
 //
-// The ingest→decide path is batch-oriented end to end when
-// Config.BatchSize > 1: the producer accumulates each shard's packets
-// into a per-shard batch buffer (packets are copied by value, so the
+// The ingest→decide path is batch-oriented end to end, at every
+// Config.BatchSize: the producer accumulates each shard's packets into
+// a per-shard batch buffer (packets are copied by value, so the
 // caller's read buffer is immediately reusable) and hands the whole
 // batch to the worker as one mailbox operation; the worker answers it
-// with one switchsim.ProcessBatch pass. A trace-time flush deadline
-// (Config.BatchFlush), checked once per ingest call, bounds how long a
-// partial batch may sit while the clock advances, so low-rate flows
+// with one switchsim.ProcessBatch pass; BatchSize 1 is a batch of one
+// through the same code. A trace-time flush deadline
+// (Config.BatchFlush), checked once per ingest call, bounds how long
+// a partial batch may sit while the clock advances, so low-rate flows
 // still see bounded decision latency, while a call whose packets span
-// many deadlines still makes one hand-off per shard. Batch buffers
-// recycle through a fixed per-shard pool — the steady-state batch path
+// many deadlines still makes one hand-off per shard. Each lane reuses
+// a fixed ring of batch buffers per shard — the steady-state path
 // touches the heap exactly never, on both sides of the channel.
 //
 // Ingest is multi-producer, RSS-style: Config.Producers opens N
@@ -33,13 +34,17 @@
 // queues. Decisions carry (lane, seq): totally ordered within a lane,
 // deliberately unordered across lanes (see OnDecision).
 //
-// Concurrency contract: each Producer's face
-// (Ingest/IngestBatch/IngestDecoded/Replay*/Flush — the Server-level
-// methods are lane 0's) must be called from one goroutine at a time,
-// but distinct lanes run concurrently. Swap, FlushBlacklists, and
-// Stats are control-plane operations for one supervising goroutine;
-// they may run concurrently with producers (they are barriers relative
-// to batches already handed off, not to packets still pending in
+// There is one ingest face per role. Server.Replay pumps a whole
+// Source through every lane, with decode workers computing keys and
+// folds off the lanes; a Producer's IngestBatch and Flush drive one
+// lane by hand.
+//
+// Concurrency contract: each Producer (and Replay, which occupies
+// every lane) must be driven from one goroutine at a time, but
+// distinct lanes run concurrently. Swap, FlushBlacklists, and Stats
+// are control-plane operations for one supervising goroutine; they may
+// run concurrently with producers (they are barriers relative to
+// batches already handed off, not to packets still pending in
 // producer-owned buffers — a lane's pending batch flushes on its own
 // BatchSize/BatchFlush cadence or via its Flush). Close requires every
 // producer goroutine to have quiesced first (join them before calling
@@ -50,7 +55,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -71,15 +75,19 @@ import (
 // collide in a switch table do not systematically land on one shard.
 const shardSeed uint32 = 0x5eed51ab
 
-// DropPolicy selects what Ingest does when a shard's queue is full.
+// DropPolicy selects what a hand-off does when a shard's queue is
+// full.
 type DropPolicy int
 
 const (
-	// Block applies backpressure: Ingest waits for queue space. No
-	// packet is ever lost; the producer runs at the shards' pace.
+	// Block applies backpressure: the hand-off waits for queue space.
+	// No packet is ever lost; the producer runs at the shards' pace.
 	Block DropPolicy = iota
-	// Drop counts the packet as a queue drop and moves on — the
-	// line-rate answer when the source cannot be stalled.
+	// Drop sheds the whole batch, counting its packets as queue drops,
+	// and moves on — the line-rate answer when the source cannot be
+	// stalled. Shed packets keep their sequence numbers as gaps and
+	// stay counted in Stats.Ingested, so Packets + QueueDrops ==
+	// Ingested once the server has drained.
 	Drop
 )
 
@@ -118,49 +126,48 @@ type Config struct {
 	// the same shard. Defaults to 1.
 	Shards int
 	// QueueDepth bounds each shard's input channel. Defaults to 1024.
-	// In batch mode the channel holds ⌈QueueDepth/BatchSize⌉ batches.
-	// A batch carries up to one ingest call's worth of its shard's
-	// packets, so the channel buffers close to QueueDepth packets when
-	// calls give each shard about BatchSize packets, and proportionally
-	// fewer for smaller calls or more shards.
+	// The channel holds ⌈QueueDepth/BatchSize⌉ batches. A batch
+	// carries up to one ingest call's worth of its shard's packets, so
+	// the channel buffers close to QueueDepth packets when calls give
+	// each shard about BatchSize packets, and proportionally fewer for
+	// smaller calls or more shards.
 	QueueDepth int
 	// Policy is the backpressure policy when a queue is full.
 	Policy DropPolicy
 	// SweepEvery, when positive, broadcasts a timeout sweep to every
 	// shard each time the trace clock (the maximum capture timestamp
-	// observed by Ingest) advances by this much. Sweeps ride the same
-	// queues as packets, so a replayed trace produces the same sweep
-	// points on every run. Zero disables periodic sweeps.
+	// ingested) advances by this much. Sweeps ride the same queues as
+	// packets, so a replayed trace produces the same sweep points on
+	// every run. Zero disables periodic sweeps.
 	SweepEvery time.Duration
-	// BatchSize, when > 1, turns on batch hand-off: the producer
-	// accumulates up to BatchSize packets per shard and delivers them
-	// as one mailbox message, answered by one switchsim.ProcessBatch
-	// pass. 0 or 1 keeps the per-packet path. Decisions are identical
-	// either way (the batch pipeline is the per-packet pipeline with
-	// the setup amortised); under the Drop policy a full queue sheds
-	// whole batches at hand-off, so sequence numbers then have
-	// batch-sized gaps where the unbatched path would shed singly.
+	// BatchSize is the most packets a lane accumulates per shard
+	// before handing them off as one mailbox message, answered by one
+	// switchsim.ProcessBatch pass. Defaults to DefaultBatchSize; 1
+	// hands every packet off alone. Decisions are identical at every
+	// size (the batch pipeline is the per-packet pipeline with the
+	// setup amortised); under the Drop policy a full queue sheds whole
+	// batches at hand-off.
 	BatchSize int
 	// BatchFlush bounds, in trace time, how long a partial batch may
 	// wait for more packets. It is checked once per ingest call
-	// (Ingest, IngestBatch, IngestDecoded), after the call's packets
-	// are enqueued: when the lane's trace clock has moved at least
-	// BatchFlush past its last flush point, every pending batch of the
-	// lane — the call's own packets included — is handed off before
-	// the call returns. A call whose packets span many BatchFlush
+	// (IngestBatch, or each batch Replay reads), after the call's
+	// packets are enqueued: when the lane's trace clock has moved at
+	// least BatchFlush past its last flush point, every pending batch
+	// of the lane — the call's own packets included — is handed off
+	// before the call returns. A call whose packets span many BatchFlush
 	// intervals thus makes one hand-off per shard, not one per
 	// interval, and under the Drop policy a shed batch is call-sized
-	// (at most BatchSize packets). Defaults to 1ms when batching is
-	// on. Like every timeout in the runtime it is driven by capture
-	// timestamps, not the wall clock, so replays stay deterministic;
-	// Flush gives the producer an explicit hand-off point
-	// (Replay/ReplayBatch call it at end of stream).
+	// (at most BatchSize packets). Defaults to 1ms. Like every
+	// timeout in the runtime it is driven by capture timestamps, not
+	// the wall clock, so replays stay deterministic; Flush gives the
+	// producer an explicit hand-off point (Replay calls it at end of
+	// stream).
 	BatchFlush time.Duration
 	// Producers is the ingest lane count: New builds one Producer per
-	// lane (Server.Producer(i) hands them out; the Server's own
-	// Ingest/IngestBatch/Replay face is lane 0). Each lane is driven by
-	// one goroutine; distinct lanes run concurrently. Defaults to 1,
-	// which is byte-identical to the single-producer runtime.
+	// lane (Server.Producer(i) hands them out; Replay drives all of
+	// them). Each lane is driven by one goroutine; distinct lanes run
+	// concurrently. Defaults to 1, which is byte-identical to the
+	// single-producer runtime.
 	Producers int
 	// NewShard builds worker i's private pair. Required. It is called
 	// Shards times from New, before any worker starts.
@@ -205,11 +212,18 @@ func (c Config) withDefaults() Config {
 	if c.Producers <= 0 {
 		c.Producers = 1
 	}
-	if c.BatchSize > 1 && c.BatchFlush <= 0 {
+	if c.BatchSize <= 0 {
+		c.BatchSize = DefaultBatchSize
+	}
+	if c.BatchFlush <= 0 {
 		c.BatchFlush = time.Millisecond
 	}
 	return c
 }
+
+// DefaultBatchSize is the hand-off batch size a zero Config.BatchSize
+// takes, and the default of the library facade and both daemons.
+const DefaultBatchSize = 64
 
 // MaxProducers bounds Config.Producers: lanes cost per-shard batch
 // buffers and per-lane bookkeeping, and no machine feeds thousands of
@@ -241,16 +255,13 @@ func (c Config) Validate() error {
 		add("QueueDepth is %d, want >= 0 (0 means default)", c.QueueDepth)
 	}
 	if c.BatchSize < 0 {
-		add("BatchSize is %d, want >= 0 (0 means unbatched)", c.BatchSize)
+		add("BatchSize is %d, want >= 0 (0 means default)", c.BatchSize)
 	}
 	if c.BatchSize > MaxBatchSize {
 		add("BatchSize is %d, want <= %d", c.BatchSize, MaxBatchSize)
 	}
 	if c.BatchFlush < 0 {
 		add("BatchFlush is %v, want >= 0 (0 means default)", c.BatchFlush)
-	}
-	if c.BatchFlush > 0 && c.BatchSize <= 1 {
-		add("BatchFlush is %v but BatchSize is %d; the flush deadline needs batching on", c.BatchFlush, c.BatchSize)
 	}
 	if c.Producers < 0 {
 		add("Producers is %d, want >= 0 (0 means default)", c.Producers)
@@ -263,8 +274,7 @@ func (c Config) Validate() error {
 
 // message kinds delivered to shard workers.
 const (
-	msgPacket = iota
-	msgBatch
+	msgBatch = iota
 	msgTick
 	msgSwap
 	msgStats
@@ -273,15 +283,12 @@ const (
 	msgRemove
 )
 
-// shardMsg is one mailbox entry: a packet, a packet batch, a sweep
-// tick, a rule swap, or a stats request. Control messages share the
-// packet queue so they serialise naturally between packets.
+// shardMsg is one mailbox entry: a packet batch, a sweep tick, a rule
+// swap, or a stats request. Control messages share the packet queue so
+// they serialise naturally between batches.
 type shardMsg struct {
 	kind  int
-	pkt   *netpkt.Packet
 	batch *pktBatch
-	lane  uint32
-	seq   uint64
 	now   time.Time // tick
 	pl    *rules.CompiledRuleSet
 	fl    *rules.CompiledRuleSet
@@ -308,17 +315,11 @@ type shardWorker struct {
 	//iguard:ownedby(shard)
 	final ShardStats
 
-	// Batch-mode state (nil/unused when Config.BatchSize <= 1). Each
-	// producer lane keeps its own pending fill buffer per shard (see
-	// Producer.pending); free recycles drained batch buffers from the
-	// worker back to whichever lane hands off next. Together with the
-	// lanes' pendings and whatever sits in the mailbox the buffers form
-	// a fixed pool — its capacity covers every buffer in existence, so
-	// neither the worker's recycle nor a producer's post-hand-off take
-	// ever blocks, and the steady-state batch path never allocates. out
-	// is the worker's decision scratch for ProcessBatch. batches counts
-	// delivered batches (worker-owned, snapshotted like swaps).
-	free chan *pktBatch
+	// out is the worker's decision scratch for ProcessBatch. batches
+	// counts delivered batches (worker-owned, snapshotted like swaps).
+	// The batch buffers themselves belong to the producer lanes (see
+	// batchRing); the worker only reads a batch between its receive
+	// and its next one.
 	//iguard:ownedby(shard)
 	out []switchsim.Decision
 	//iguard:ownedby(shard)
@@ -336,10 +337,9 @@ type shardWorker struct {
 // stored by value (enqueueing copies, decoupling the batch from the
 // producer's read buffer) with their canonical flow keys and key
 // folds — computed once for routing, reused by ProcessBatch — and
-// ingest sequence numbers. A batch belongs to exactly one lane (lane
-// is stamped at hand-off; buffers recycle freely across lanes through
-// the shared pool). n is the fill level; the backing slices are
-// allocated once at pool construction and never grow.
+// ingest sequence numbers. A batch belongs to exactly one lane's ring
+// for one shard. n is the fill level; the backing slices are allocated
+// once in New and never grow.
 type pktBatch struct {
 	pkts  []netpkt.Packet
 	keys  []features.FlowKey
@@ -349,12 +349,13 @@ type pktBatch struct {
 	n     int
 }
 
-func newBatch(size int) *pktBatch {
+func newBatch(size int, lane uint32) *pktBatch {
 	return &pktBatch{
 		pkts:  make([]netpkt.Packet, size),
 		keys:  make([]features.FlowKey, size),
 		folds: make([]uint32, size),
 		seqs:  make([]uint64, size),
+		lane:  lane,
 	}
 }
 
@@ -362,8 +363,8 @@ func newBatch(size int) *pktBatch {
 var ErrClosed = errors.New("serve: server closed")
 
 // Server is the sharded streaming runtime. Build with New; drive with
-// Ingest or Replay; swap models with Swap; observe with Stats; drain
-// and stop with Close.
+// Replay or a Producer's IngestBatch; swap models with Swap; observe
+// with Stats; drain and stop with Close.
 type Server struct {
 	cfg    Config
 	shards []*shardWorker
@@ -382,8 +383,7 @@ type Server struct {
 	ctlMu sync.RWMutex
 
 	// producers holds the ingest lanes, built in New (lane i at index
-	// i); the Server-level ingest face is producers[0]'s. The slice is
-	// immutable after New.
+	// i). The slice is immutable after New.
 	producers  []*Producer
 	queueDrops atomic.Uint64
 
@@ -411,48 +411,32 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Now != nil {
 		s.wallStart = cfg.Now()
 	}
-	// In batch mode the mailbox is measured in batches, preserving the
-	// configured packet-count buffering; the buffer pool holds one more
-	// batch than the mailbox plus the worker can hold, plus one pending
-	// buffer per producer lane, so recycling never blocks the worker
-	// and a successful hand-off always finds a fresh pending buffer
-	// waiting no matter which lane took the last one.
-	queue, qBatches := cfg.QueueDepth, 0
-	if cfg.BatchSize > 1 {
-		qBatches = (cfg.QueueDepth + cfg.BatchSize - 1) / cfg.BatchSize
-		queue = qBatches
-	}
+	// The mailbox is measured in batches, preserving the configured
+	// packet-count buffering; each lane's ring per shard holds two
+	// buffers more than the mailbox (see batchRing).
+	queue := (cfg.QueueDepth + cfg.BatchSize - 1) / cfg.BatchSize
 	for i := 0; i < cfg.Shards; i++ {
 		sh := cfg.NewShard(i)
 		if sh.Switch == nil {
 			return nil, fmt.Errorf("serve: NewShard(%d) returned a nil Switch", i)
 		}
-		var out []switchsim.Decision
-		if cfg.BatchSize > 1 {
-			out = make([]switchsim.Decision, cfg.BatchSize)
-		}
-		w := &shardWorker{id: i, sw: sh.Switch, ctrl: sh.Controller, in: make(chan shardMsg, queue), out: out}
+		w := &shardWorker{id: i, sw: sh.Switch, ctrl: sh.Controller, in: make(chan shardMsg, queue), out: make([]switchsim.Decision, cfg.BatchSize)}
 		if cfg.OnBlacklist != nil && sh.Controller != nil {
 			// Wired before any worker starts, so the observer is
 			// visible to every digest the shard ever delivers.
 			shard := i
 			sh.Controller.SetObserver(func(ev controller.Event) { cfg.OnBlacklist(shard, ev) })
 		}
-		if cfg.BatchSize > 1 {
-			w.free = make(chan *pktBatch, qBatches+1+cfg.Producers)
-			for j := 0; j < qBatches+1; j++ {
-				w.free <- newBatch(cfg.BatchSize)
-			}
-		}
 		s.shards = append(s.shards, w)
 	}
-	for lane := 0; lane < cfg.Producers; lane++ {
-		p := &Producer{s: s, lane: uint32(lane)}
-		if cfg.BatchSize > 1 {
-			p.pending = make([]*pktBatch, len(s.shards))
-			for i := range p.pending {
-				p.pending[i] = newBatch(cfg.BatchSize)
+	for lane := uint32(0); lane < uint32(cfg.Producers); lane++ {
+		p := &Producer{s: s, lane: lane, rings: make([]batchRing, len(s.shards))}
+		for i := range p.rings {
+			bufs := make([]*pktBatch, queue+2)
+			for j := range bufs {
+				bufs[j] = newBatch(cfg.BatchSize, lane)
 			}
+			p.rings[i].bufs = bufs
 		}
 		s.producers = append(s.producers, p)
 	}
@@ -464,9 +448,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Producer returns ingest lane i. Each lane must be driven by one
-// goroutine at a time; distinct lanes may run concurrently. Lane 0 is
-// the one the Server-level Ingest/IngestBatch/Replay face delegates
-// to.
+// goroutine at a time; distinct lanes may run concurrently.
 func (s *Server) Producer(i int) *Producer { return s.producers[i] }
 
 // Producers returns the configured lane count.
@@ -489,9 +471,6 @@ func (s *Server) runShard(w *shardWorker) {
 	defer s.wg.Done()
 	for m := range w.in {
 		switch m.kind {
-		case msgPacket:
-			d := w.sw.ProcessPacket(m.pkt)
-			s.notifyDecision(w, m.lane, m.seq, m.pkt, d)
 		case msgBatch:
 			b := m.batch
 			w.sw.ProcessBatch(b.pkts[:b.n], b.keys[:b.n], b.folds[:b.n], w.out[:b.n])
@@ -499,9 +478,6 @@ func (s *Server) runShard(w *shardWorker) {
 				s.notifyDecision(w, b.lane, b.seqs[i], &b.pkts[i], w.out[i])
 			}
 			w.batches++
-			b.n = 0
-			// Recycling never blocks: free's capacity covers the pool.
-			w.free <- b
 		case msgTick:
 			// Racing lanes can deliver an older tick after a newer one
 			// (the election orders tick *times*, not mailbox arrivals);
@@ -607,9 +583,6 @@ func (s *Server) shardOf(fold uint32) int {
 	return int(features.BiHashFold(fold, shardSeed) % uint32(len(s.shards)))
 }
 
-// batching reports whether batch hand-off is on.
-func (s *Server) batching() bool { return s.cfg.BatchSize > 1 }
-
 // advanceTrace moves the shared trace clock forward to ns. A
 // monotone-max CAS loop: concurrent lanes race freely, the clock never
 // goes backwards, and a lone lane pays one load plus (at most) one
@@ -627,20 +600,6 @@ func (s *Server) advanceTrace(ns int64) {
 			return
 		}
 	}
-}
-
-// Ingest routes one packet to its flow's shard on lane 0 — see
-// Producer.Ingest for the contract. Lane 0's goroutine only.
-//
-//iguard:hotpath
-func (s *Server) Ingest(p *netpkt.Packet) (bool, error) {
-	return s.producers[0].Ingest(p)
-}
-
-// Flush hands lane 0's still-pending batched packets to their shards —
-// see Producer.Flush. Lane 0's goroutine only.
-func (s *Server) Flush() error {
-	return s.producers[0].Flush()
 }
 
 // Swap atomically replaces the whitelist on every shard: each worker
@@ -768,17 +727,16 @@ func (s *Server) ApplyFlush() (int, error) {
 // producer goroutine must have quiesced first (join them before
 // calling); Close then hands off every lane's pending batches — no
 // buffered packet is ever stranded undecided — and after it returns,
-// Ingest/Swap return ErrClosed and Stats serves the final snapshot.
+// ingest and Swap return ErrClosed and Stats serves the final
+// snapshot.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if s.batching() {
-		// Producers are quiesced (the caller's contract), so their
-		// lane-owned pendings are safe to drain from here.
-		for _, p := range s.producers {
-			p.flushPending()
-		}
+	// Producers are quiesced (the caller's contract), so their
+	// lane-owned pendings are safe to drain from here.
+	for _, p := range s.producers {
+		p.flushPending()
 	}
 	// The write lock waits out any applier that saw closed==false and
 	// is still sending; new appliers observe closed==true. Only then
@@ -822,24 +780,4 @@ func (s *Server) Stats() Stats {
 		}
 	}
 	return s.aggregate(per)
-}
-
-// IngestBatch routes a slice of packets to their shards on lane 0 —
-// see Producer.IngestBatch for the contract. Lane 0's goroutine only.
-//
-//iguard:hotpath
-func (s *Server) IngestBatch(pkts []netpkt.Packet) (accepted, dropped uint64, err error) {
-	return s.producers[0].IngestBatch(pkts)
-}
-
-// Replay pumps a source into the server on lane 0 — see
-// Producer.Replay. Lane 0's goroutine only.
-func (s *Server) Replay(ctx context.Context, src Source) (accepted, dropped uint64, err error) {
-	return s.producers[0].Replay(ctx, src)
-}
-
-// ReplayBatch pumps a batch source into the server on lane 0 — see
-// Producer.ReplayBatch. Lane 0's goroutine only.
-func (s *Server) ReplayBatch(ctx context.Context, src BatchSource) (accepted, dropped uint64, err error) {
-	return s.producers[0].ReplayBatch(ctx, src)
 }

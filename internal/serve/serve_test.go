@@ -163,19 +163,19 @@ func runTrace(t *testing.T, trace *traffic.Trace, shards int, fl *rules.Compiled
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted, dropped, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets))
+	accepted, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped != 0 || accepted != uint64(len(trace.Packets)) {
-		t.Fatalf("accepted=%d dropped=%d want accepted=%d dropped=0", accepted, dropped, len(trace.Packets))
+	if accepted != uint64(len(trace.Packets)) {
+		t.Fatalf("accepted=%d want %d", accepted, len(trace.Packets))
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
-	if st.Packets != len(trace.Packets) {
-		t.Fatalf("processed %d packets, want %d", st.Packets, len(trace.Packets))
+	if st.Packets != len(trace.Packets) || st.QueueDrops != 0 {
+		t.Fatalf("processed %d packets with %d queue drops, want %d and 0", st.Packets, st.QueueDrops, len(trace.Packets))
 	}
 	return rec.merge(t)
 }
@@ -216,7 +216,8 @@ func TestShardRoutingDeterminism(t *testing.T) {
 // TestHotSwapUnderLoad swaps the whitelist while a producer is mid-
 // replay: no packet may be lost or misrouted, every shard must apply
 // the swap exactly once, and post-swap classifications must follow the
-// new rules.
+// new rules. Batches of one keep every packet ingested before the swap
+// on its way to a shard.
 func TestHotSwapUnderLoad(t *testing.T) {
 	trace := mixedTrace(t)
 	shards := 4
@@ -224,6 +225,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	srv, err := New(Config{
 		Shards:     shards,
 		QueueDepth: 64,
+		BatchSize:  1,
 		Policy:     Block,
 		NewShard:   testShardFactory(acceptAllFL(), 8, time.Hour),
 		OnDecision: rec.onDecision,
@@ -236,11 +238,12 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	halfway := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
+		lane := srv.Producer(0)
 		for i := range trace.Packets {
 			if i == half {
 				close(halfway)
 			}
-			if _, err := srv.Ingest(&trace.Packets[i]); err != nil {
+			if _, _, err := lane.IngestBatch(trace.Packets[i : i+1]); err != nil {
 				done <- err
 				return
 			}
@@ -297,7 +300,7 @@ func TestFlushBlacklists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets)); err != nil {
+	if _, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets)); err != nil {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
@@ -323,8 +326,8 @@ func TestFlushBlacklists(t *testing.T) {
 }
 
 // TestCloseDrains pins the drain semantics: Close processes everything
-// already accepted, then Ingest/Swap report ErrClosed and Stats serves
-// the final snapshot.
+// already accepted — pending batches included — then ingest and Swap
+// report ErrClosed and Stats serves the final snapshot.
 func TestCloseDrains(t *testing.T) {
 	trace := traffic.GenerateBenign(3, 40)
 	srv, err := New(Config{
@@ -336,10 +339,9 @@ func TestCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range trace.Packets {
-		if _, err := srv.Ingest(&trace.Packets[i]); err != nil {
-			t.Fatal(err)
-		}
+	lane := srv.Producer(0)
+	if _, _, err := lane.IngestBatch(trace.Packets); err != nil {
+		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -348,8 +350,8 @@ func TestCloseDrains(t *testing.T) {
 	if st.Packets != len(trace.Packets) {
 		t.Fatalf("drained %d packets, want %d", st.Packets, len(trace.Packets))
 	}
-	if _, err := srv.Ingest(&trace.Packets[0]); err != ErrClosed {
-		t.Fatalf("Ingest after Close: err=%v want ErrClosed", err)
+	if _, _, err := lane.IngestBatch(trace.Packets[:1]); err != ErrClosed {
+		t.Fatalf("IngestBatch after Close: err=%v want ErrClosed", err)
 	}
 	if err := srv.Swap(nil, nil); err != ErrClosed {
 		t.Fatalf("Swap after Close: err=%v want ErrClosed", err)
@@ -362,68 +364,76 @@ func TestCloseDrains(t *testing.T) {
 	}
 }
 
-// TestDropPolicySheds pins the counted-drop backpressure: with a full
-// queue and a wedged shard, Ingest sheds instead of blocking, and the
-// shed count is conserved (accepted + dropped = offered).
+// TestDropPolicySheds pins the counted-drop backpressure at batch
+// sizes 1 and 4: with a wedged shard and a full queue, hand-offs shed
+// whole batches instead of blocking. Shed packets keep their sequence
+// numbers as gaps and stay counted as ingested, so processed + shed ==
+// ingested, and every decided sequence number is one the lane issued.
 func TestDropPolicySheds(t *testing.T) {
 	trace := traffic.GenerateBenign(4, 30)
 	const depth = 4
-	gate := make(chan struct{})
-	first := make(chan struct{})
-	var opened bool
-	srv, err := New(Config{
-		Shards:     1,
-		QueueDepth: depth,
-		Policy:     Drop,
-		NewShard:   testShardFactory(acceptAllFL(), 8, time.Hour),
-		OnDecision: func(int, uint32, uint64, *netpkt.Packet, switchsim.Decision) {
-			if !opened {
-				opened = true
-				close(first)
-				<-gate // wedge the shard with the first packet in hand
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			gate := make(chan struct{})
+			first := make(chan struct{})
+			var opened bool
+			var decided []uint64 // shard goroutine only; read after Close
+			srv, err := New(Config{
+				Shards:     1,
+				QueueDepth: depth,
+				BatchSize:  batch,
+				Policy:     Drop,
+				NewShard:   testShardFactory(acceptAllFL(), 8, time.Hour),
+				OnDecision: func(_ int, _ uint32, seq uint64, _ *netpkt.Packet, _ switchsim.Decision) {
+					decided = append(decided, seq)
+					if !opened {
+						opened = true
+						close(first)
+						<-gate // wedge the shard with the first batch in hand
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := srv.Ingest(&trace.Packets[0]); err != nil || !ok {
-		t.Fatalf("first Ingest: ok=%v err=%v", ok, err)
-	}
-	<-first // the worker now owns packet 0 and is wedged
-
-	offered := 1
-	var acc, shed int
-	acc = 1
-	for i := 1; i < 1+depth+10; i++ {
-		ok, err := srv.Ingest(&trace.Packets[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		offered++
-		if ok {
-			acc++
-		} else {
-			shed++
-		}
-	}
-	if shed == 0 {
-		t.Fatal("no packets shed despite wedged shard and full queue")
-	}
-	if acc > 1+depth {
-		t.Fatalf("accepted %d packets with queue depth %d", acc, depth)
-	}
-	close(gate)
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := srv.Stats()
-	if st.QueueDrops != uint64(shed) || st.Ingested != uint64(acc) {
-		t.Fatalf("stats: ingested=%d queueDrops=%d; producer saw acc=%d shed=%d",
-			st.Ingested, st.QueueDrops, acc, shed)
-	}
-	if int(st.Ingested)+int(st.QueueDrops) != offered {
-		t.Fatalf("conservation: %d + %d != %d", st.Ingested, st.QueueDrops, offered)
+			lane := srv.Producer(0)
+			// Each call fills exactly one batch, which is handed off at once.
+			offer := func(i int) {
+				t.Helper()
+				if a, d, err := lane.IngestBatch(trace.Packets[i*batch : (i+1)*batch]); err != nil || a != uint64(batch) || d != 0 {
+					t.Fatalf("IngestBatch = (%d, %d, %v), want (%d, 0, nil)", a, d, err, batch)
+				}
+			}
+			offer(0)
+			<-first // the worker now owns batch 0 and is wedged
+			const calls = 1 + depth + 10
+			for i := 1; i < calls; i++ {
+				offer(i)
+			}
+			close(gate)
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := srv.Stats()
+			mailbox := (depth + batch - 1) / batch
+			if want := uint64(calls * batch); st.Ingested != want {
+				t.Fatalf("ingested=%d, want %d (sheds keep their sequence numbers)", st.Ingested, want)
+			}
+			if want := (1 + mailbox) * batch; st.Packets != want {
+				t.Fatalf("processed=%d, want %d (the wedged batch plus a full mailbox of %d)", st.Packets, want, mailbox)
+			}
+			if uint64(st.Packets)+st.QueueDrops != st.Ingested {
+				t.Fatalf("conservation: processed %d + shed %d != ingested %d", st.Packets, st.QueueDrops, st.Ingested)
+			}
+			if len(decided) != st.Packets {
+				t.Fatalf("%d decisions for %d processed packets", len(decided), st.Packets)
+			}
+			for i, seq := range decided {
+				if seq >= st.Ingested || (i > 0 && seq <= decided[i-1]) {
+					t.Fatalf("decided seqs %v are not increasing below %d", decided, st.Ingested)
+				}
+			}
+		})
 	}
 }
 
@@ -462,10 +472,8 @@ func TestTracePacedSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range packets {
-		if _, err := srv.Ingest(&packets[i]); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := srv.Producer(0).IngestBatch(packets); err != nil {
+		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -497,10 +505,8 @@ func TestLiveStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range trace.Packets {
-		if _, err := srv.Ingest(&trace.Packets[i]); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := srv.Producer(0).IngestBatch(trace.Packets); err != nil {
+		t.Fatal(err)
 	}
 	st := srv.Stats() // live: answered through the mailboxes
 	if st.Ingested != uint64(len(trace.Packets)) {
@@ -517,7 +523,8 @@ func TestLiveStats(t *testing.T) {
 	}
 }
 
-// TestReplayContextCancel pins Replay's cooperative cancellation.
+// TestReplayContextCancel pins Replay's cooperative cancellation: the
+// decode pipeline reports the context's own error.
 func TestReplayContextCancel(t *testing.T) {
 	srv, err := New(Config{NewShard: testShardFactory(acceptAllFL(), 8, time.Hour)})
 	if err != nil {
@@ -525,7 +532,7 @@ func TestReplayContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := srv.Replay(ctx, NewTraceSource(traffic.GenerateBenign(6, 5).Packets)); err != context.Canceled {
+	if _, err := srv.Replay(ctx, NewTraceSource(traffic.GenerateBenign(6, 5).Packets)); err != context.Canceled {
 		t.Fatalf("err=%v want context.Canceled", err)
 	}
 	if err := srv.Close(); err != nil {
@@ -534,7 +541,7 @@ func TestReplayContextCancel(t *testing.T) {
 }
 
 // TestPcapSourceStreams round-trips a trace through the pcap writer and
-// streams it back via PcapSource.
+// streams it back via PcapSource's batch reads.
 func TestPcapSourceStreams(t *testing.T) {
 	trace := traffic.GenerateBenign(7, 10)
 	var buf bytes.Buffer
@@ -552,16 +559,17 @@ func TestPcapSourceStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := PcapSource{R: r}
+	batch := make([]netpkt.Packet, 4)
 	n := 0
 	for {
-		_, err := src.Next()
+		k, err := src.NextBatch(batch)
+		n += k
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		n++
 	}
 	if n != len(trace.Packets) {
 		t.Fatalf("streamed %d packets, want %d", n, len(trace.Packets))

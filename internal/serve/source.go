@@ -6,63 +6,24 @@ import (
 	"iguard/internal/netpkt"
 )
 
-// Source is a streaming packet supply: Next returns packets in capture
-// order and io.EOF at end of stream. netpkt.PcapReader satisfies it
-// directly (strict variant); see PcapSource for the skip-on-parse-error
-// variant serving normally wants.
+// Source is a streaming packet supply: NextBatch fills buf with up to
+// len(buf) packets in capture order and returns how many it wrote.
+// buf[:n] is valid even when err is non-nil, so a partial read at end
+// of stream is delivered alongside io.EOF's arrival on the following
+// call — or, equally validly, together with it (n > 0 with err ==
+// io.EOF means "these packets, then the end").
 type Source interface {
-	Next() (netpkt.Packet, error)
-}
-
-// BatchSource is the batch face of a packet supply: NextBatch fills
-// buf with up to len(buf) packets in capture order and returns how
-// many it wrote. buf[:n] is valid even when err is non-nil, so a
-// partial read at end of stream is delivered alongside io.EOF's
-// arrival on the following call — or, equally validly, together with
-// it (n > 0 with err == io.EOF means "these packets, then the end").
-// Sources with natural batch access implement it directly; everything
-// else goes through AsBatchSource.
-type BatchSource interface {
 	NextBatch(buf []netpkt.Packet) (n int, err error)
-}
-
-// AsBatchSource returns the batch face of src: src itself when it
-// already implements BatchSource, else an adapter that fills each
-// batch with repeated Next calls.
-func AsBatchSource(src Source) BatchSource {
-	if b, ok := src.(BatchSource); ok {
-		return b
-	}
-	return &sourceBatcher{src: src}
-}
-
-// sourceBatcher adapts a per-packet Source to BatchSource.
-type sourceBatcher struct{ src Source }
-
-// NextBatch implements BatchSource.
-func (sb *sourceBatcher) NextBatch(buf []netpkt.Packet) (int, error) {
-	for i := range buf {
-		p, err := sb.src.Next()
-		if err != nil {
-			return i, err
-		}
-		buf[i] = p
-	}
-	return len(buf), nil
 }
 
 // PcapSource streams a capture file, skipping unparseable frames the
 // way netpkt.(*PcapReader).ReadAll does — without buffering the trace.
+// It reads a batch per call through the reader's batch face.
 type PcapSource struct {
 	R *netpkt.PcapReader
 }
 
-// Next implements Source.
-func (s PcapSource) Next() (netpkt.Packet, error) { return s.R.NextValid() }
-
-// NextBatch implements BatchSource natively via the reader's batch
-// face, so a batched replay reads a batch per call instead of a packet
-// per call.
+// NextBatch implements Source.
 func (s PcapSource) NextBatch(buf []netpkt.Packet) (int, error) { return s.R.NextValidBatch(buf) }
 
 // TraceSource replays an in-memory packet slice (e.g. a synthetic
@@ -78,18 +39,8 @@ func NewTraceSource(packets []netpkt.Packet) *TraceSource {
 	return &TraceSource{packets: packets}
 }
 
-// Next implements Source.
-func (s *TraceSource) Next() (netpkt.Packet, error) {
-	if s.i >= len(s.packets) {
-		return netpkt.Packet{}, io.EOF
-	}
-	p := s.packets[s.i]
-	s.i++
-	return p, nil
-}
-
-// NextBatch implements BatchSource natively: one copy from the backing
-// slice per batch instead of a call per packet.
+// NextBatch implements Source: one copy from the backing slice per
+// batch.
 func (s *TraceSource) NextBatch(buf []netpkt.Packet) (int, error) {
 	if s.i >= len(s.packets) {
 		return 0, io.EOF

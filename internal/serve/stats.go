@@ -21,8 +21,7 @@ type ShardStats struct {
 	AvgLatency   time.Duration
 	QueueDrops   uint64
 	Swaps        int
-	// Batches counts batch hand-offs delivered to this shard (0 when
-	// batching is off).
+	// Batches counts batch hand-offs delivered to this shard.
 	Batches uint64
 }
 
@@ -41,11 +40,12 @@ type Stats struct {
 	// by lane.
 	Lanes []LaneStats
 
-	// Ingested counts packets accepted by Ingest, summed across every
-	// producer lane; QueueDrops counts packets shed by the Drop
-	// policy. Packets counts what the shards have actually processed
-	// (≤ Ingested while queues or producer-side pending batches hold
-	// backlog). Batches counts batch hand-offs across shards;
+	// Ingested counts packets the producer lanes accepted (through
+	// IngestBatch or Replay), summed across every lane; QueueDrops
+	// counts the accepted packets the Drop policy then shed at
+	// hand-off. Packets counts what the shards have actually processed:
+	// Packets + QueueDrops == Ingested once the server has drained, and
+	// less while queues or producer-side pending batches hold backlog. Batches counts batch hand-offs across shards;
 	// Packets/Batches is the realised mean batch size.
 	Ingested   uint64
 	QueueDrops uint64

@@ -102,7 +102,7 @@ func TestStatsJSONFromLiveServer(t *testing.T) {
 		}
 	}()
 	trace := mixedTrace(t)
-	if _, _, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets)); err != nil {
+	if _, err := srv.Replay(context.Background(), NewTraceSource(trace.Packets)); err != nil {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
