@@ -1,6 +1,6 @@
 # Convenience targets for the iGuard reproduction.
 
-.PHONY: build test bench bench-e2e bench-diff bench-parallel bench-serve bench-batch bench-mp bench-rules eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed p4lint
+.PHONY: build test bench bench-e2e bench-diff bench-parallel bench-serve bench-batch bench-mp bench-rules bench-ctrl eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed p4lint
 
 build:
 	go build ./...
@@ -55,6 +55,12 @@ bench-mp:
 # reference scan at 16/128/1024 rules, plus compile cost.
 bench-rules:
 	go test -bench 'BenchmarkMatch|BenchmarkCompile' -benchmem -run '^$$' ./internal/rules
+
+# Blacklist-plane churn: one malicious digest of a new flow per op
+# through an LRU controller at capacity 8192 and a real switch (one
+# install plus one eviction each), with allocs per op.
+bench-ctrl:
+	go test -bench 'BenchmarkControllerChurn' -benchmem -run '^$$' ./internal/controller
 
 # Full-size evaluation (several minutes).
 eval:

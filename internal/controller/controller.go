@@ -6,7 +6,6 @@
 package controller
 
 import (
-	"container/list"
 	"sync"
 
 	"iguard/internal/features"
@@ -87,33 +86,53 @@ type Event struct {
 // Controller is the control-plane agent. It is safe for concurrent use
 // (digests may arrive from multiple pipelines).
 //
-// Locking contract: mu guards order, index, and stats — exported
-// methods acquire it around their bookkeeping, and methods with the
-// *Locked suffix require it held. sw, capacity, and policy are set by
-// New and never written afterwards, so they may be read without the
-// lock. Data-plane calls (ClearFlow, InstallBlacklist,
-// RemoveBlacklist) are never made while mu is held: they dispatch
-// through the Switch interface to an implementation whose latency the
-// controller cannot bound, and holding mu across them would stall
-// every other digest pipeline. OnDigest decides the actions under mu
-// and applies them after unlocking; the Switch implementation is
-// invoked from whichever goroutine delivered the digest, so it must
-// either tolerate that (switchsim.Switch delivers digests
-// synchronously from its owning goroutine, which bounces these calls
-// back onto it — see its ownership contract) or carry its own locks.
+// Locking contract: mu guards the eviction-order storage (slab, head,
+// tail, free, index) and stats — exported methods acquire it around
+// their bookkeeping, and methods with the *Locked suffix require it
+// held. sw, capacity, and policy are set by New and never written
+// afterwards, so they may be read without the lock. Data-plane calls
+// (ClearFlow, InstallBlacklist, RemoveBlacklist) are never made while
+// mu is held: they dispatch through the Switch interface to an
+// implementation whose latency the controller cannot bound, and
+// holding mu across them would stall every other digest pipeline.
+// OnDigest decides the actions under mu and applies them after
+// unlocking; the Switch implementation is invoked from whichever
+// goroutine delivered the digest, so it must either tolerate that
+// (switchsim.Switch delivers digests synchronously from its owning
+// goroutine, which bounces these calls back onto it — see its
+// ownership contract) or carry its own locks.
 type Controller struct {
 	mu       sync.Mutex
 	sw       Switch
 	capacity int
 	policy   EvictionPolicy
-	order    *list.List // of features.FlowKey, front = next eviction
-	index    map[features.FlowKey]*list.Element
-	stats    Stats
-	obs      func(Event)
+
+	// The eviction order is an intrusive doubly linked list over slab
+	// indices: head is the next eviction, tail the latest install (or
+	// LRU refresh). index maps each tracked key to its slab entry. The
+	// slab grows by append up to capacity and entries freed by eviction
+	// or removal are reused through the free list (linked by next), so
+	// a full table installs and evicts without allocating.
+	slab       []entry
+	head, tail int32
+	free       int32
+	index      features.KeyIndex
+
+	stats Stats
+	obs   func(Event)
 }
 
+// entry is one tracked blacklist key and its eviction-order links.
+type entry struct {
+	key        features.FlowKey
+	prev, next int32
+}
+
+// none is the nil slab index.
+const none = -1
+
 // New returns a controller managing the given switch with a blacklist
-// capacity and eviction policy.
+// capacity and eviction policy. The tracking storage grows on demand.
 func New(sw Switch, capacity int, policy EvictionPolicy) *Controller {
 	if capacity <= 0 {
 		capacity = 8192
@@ -122,8 +141,9 @@ func New(sw Switch, capacity int, policy EvictionPolicy) *Controller {
 		sw:       sw,
 		capacity: capacity,
 		policy:   policy,
-		order:    list.New(),
-		index:    map[features.FlowKey]*list.Element{},
+		head:     none,
+		tail:     none,
+		free:     none,
 	}
 }
 
@@ -149,46 +169,30 @@ func (c *Controller) SetObserver(fn func(Event)) {
 func (c *Controller) OnDigest(d switchsim.Digest) {
 	key := d.Key.Canonical()
 
-	// Decide under the lock, act after it: the bookkeeping (order,
-	// index, stats) is mu-guarded, but the data-plane calls are
-	// interface dispatches of unbounded latency and must not extend
-	// the critical section.
+	// Decide under the lock, act after it: the bookkeeping is
+	// mu-guarded, but the data-plane calls are interface dispatches of
+	// unbounded latency and must not extend the critical section.
 	c.mu.Lock()
 	c.stats.DigestsReceived++
 	c.stats.BytesReceived += switchsim.DigestBytes
 	c.stats.StorageCleared++
-	install := false
-	var evicted []features.FlowKey
+	var victim features.FlowKey
+	evicted, install := false, false
 	if d.Label == 1 {
-		if el, ok := c.index[key]; ok {
-			// Already blacklisted: LRU refreshes recency, FIFO does not.
-			if c.policy == LRU {
-				c.order.MoveToBack(el)
-			}
-		} else {
-			if c.order.Len() >= c.capacity {
-				if victim, ok := c.popVictimLocked(); ok {
-					evicted = append(evicted, victim)
-					c.stats.RulesEvicted++
-				}
-			}
-			c.index[key] = c.order.PushBack(key)
-			c.stats.RulesInstalled++
-			install = true
-		}
+		victim, evicted, install = c.admitLocked(key)
 	}
 	obs := c.obs
 	c.mu.Unlock()
 
 	c.sw.ClearFlow(d.Key)
-	for _, victim := range evicted {
+	if evicted {
 		c.sw.RemoveBlacklist(victim)
 	}
 	if install {
 		c.sw.InstallBlacklist(key)
 	}
 	if obs != nil {
-		for _, victim := range evicted {
+		if evicted {
 			obs(Event{Op: OpEvict, Key: victim})
 		}
 		if install {
@@ -208,36 +212,18 @@ func (c *Controller) OnDigest(d switchsim.Digest) {
 func (c *Controller) Install(key features.FlowKey) bool {
 	key = key.Canonical()
 	c.mu.Lock()
-	install := false
-	var evicted []features.FlowKey
-	if el, ok := c.index[key]; ok {
-		if c.policy == LRU {
-			c.order.MoveToBack(el)
-		}
-	} else {
-		if c.order.Len() >= c.capacity {
-			if victim, ok := c.popVictimLocked(); ok {
-				evicted = append(evicted, victim)
-				c.stats.RulesEvicted++
-			}
-		}
-		c.index[key] = c.order.PushBack(key)
-		c.stats.RulesInstalled++
-		install = true
-	}
+	victim, evicted, install := c.admitLocked(key)
 	obs := c.obs
 	c.mu.Unlock()
 
-	for _, victim := range evicted {
+	if evicted {
 		c.sw.RemoveBlacklist(victim)
 	}
 	if install {
 		c.sw.InstallBlacklist(key)
 	}
-	if obs != nil {
-		for _, victim := range evicted {
-			obs(Event{Op: OpEvict, Key: victim})
-		}
+	if obs != nil && evicted {
+		obs(Event{Op: OpEvict, Key: victim})
 	}
 	return install
 }
@@ -249,10 +235,10 @@ func (c *Controller) Install(key features.FlowKey) bool {
 func (c *Controller) Remove(key features.FlowKey) bool {
 	key = key.Canonical()
 	c.mu.Lock()
-	el, ok := c.index[key]
+	i, ok := c.index.Delete(key, key.FoldCanonical())
 	if ok {
-		c.order.Remove(el)
-		delete(c.index, key)
+		c.unlinkLocked(i)
+		c.releaseLocked(i)
 		c.stats.RulesRemoved++
 	}
 	c.mu.Unlock()
@@ -263,18 +249,86 @@ func (c *Controller) Remove(key features.FlowKey) bool {
 	return ok
 }
 
-// popVictimLocked removes and returns the front (next-to-evict) entry
-// from the bookkeeping; the caller issues the data-plane removal after
-// releasing the lock. Caller holds the lock.
-func (c *Controller) popVictimLocked() (features.FlowKey, bool) {
-	front := c.order.Front()
-	if front == nil {
-		return features.FlowKey{}, false
+// admitLocked is the install bookkeeping shared by OnDigest and
+// Install for a canonical key. A tracked key is a recency refresh under
+// LRU and a no-op under FIFO. A new key first evicts the head when the
+// table is full, then joins at the tail; the caller issues the
+// data-plane removal of victim (when evicted) and the install (when
+// installed) after releasing the lock. Caller holds the lock.
+func (c *Controller) admitLocked(key features.FlowKey) (victim features.FlowKey, evicted, installed bool) {
+	fold := key.FoldCanonical()
+	if i, ok := c.index.Get(key, fold); ok {
+		if c.policy == LRU {
+			c.moveToBackLocked(i)
+		}
+		return victim, false, false
 	}
-	key := front.Value.(features.FlowKey)
-	c.order.Remove(front)
-	delete(c.index, key)
-	return key, true
+	if c.index.Len() >= c.capacity {
+		i := c.head
+		victim = c.slab[i].key
+		c.index.Delete(victim, victim.FoldCanonical())
+		c.unlinkLocked(i)
+		c.releaseLocked(i)
+		c.stats.RulesEvicted++
+		evicted = true
+	}
+	i := c.free
+	if i != none {
+		c.free = c.slab[i].next
+		c.slab[i].key = key
+	} else {
+		i = int32(len(c.slab))
+		c.slab = append(c.slab, entry{key: key})
+	}
+	c.linkBackLocked(i)
+	c.index.Put(key, fold, i, c.capacity)
+	c.stats.RulesInstalled++
+	return victim, evicted, true
+}
+
+// linkBackLocked appends slab entry i to the tail of the eviction
+// order. Caller holds the lock.
+func (c *Controller) linkBackLocked(i int32) {
+	e := &c.slab[i]
+	e.prev, e.next = c.tail, none
+	if c.tail == none {
+		c.head = i
+	} else {
+		c.slab[c.tail].next = i
+	}
+	c.tail = i
+}
+
+// unlinkLocked detaches slab entry i from the eviction order. Caller
+// holds the lock.
+func (c *Controller) unlinkLocked(i int32) {
+	e := &c.slab[i]
+	if e.prev == none {
+		c.head = e.next
+	} else {
+		c.slab[e.prev].next = e.next
+	}
+	if e.next == none {
+		c.tail = e.prev
+	} else {
+		c.slab[e.next].prev = e.prev
+	}
+}
+
+// moveToBackLocked makes slab entry i the most recent in the eviction
+// order (an LRU refresh). Caller holds the lock.
+func (c *Controller) moveToBackLocked(i int32) {
+	if i != c.tail {
+		c.unlinkLocked(i)
+		c.linkBackLocked(i)
+	}
+}
+
+// releaseLocked pushes the detached slab entry i onto the free list.
+// Caller holds the lock.
+func (c *Controller) releaseLocked(i int32) {
+	c.slab[i].next = c.free
+	c.free = i
 }
 
 // Flush removes every tracked blacklist entry from both the
@@ -282,16 +336,18 @@ func (c *Controller) popVictimLocked() (features.FlowKey, bool) {
 // exists for model hot-swap: when a replacement model changes what
 // "malicious" means, the operator may want verdicts issued under the
 // old rules withdrawn rather than aging out. Removals count as
-// evictions in Stats. Like OnDigest, the data-plane calls happen
-// after the lock is released.
+// evictions in Stats. The tracking storage is reset in place and kept.
+// Like OnDigest, the data-plane calls happen after the lock is
+// released.
 func (c *Controller) Flush() int {
 	c.mu.Lock()
-	victims := make([]features.FlowKey, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		victims = append(victims, el.Value.(features.FlowKey))
+	victims := make([]features.FlowKey, 0, c.index.Len())
+	for i := c.head; i != none; i = c.slab[i].next {
+		victims = append(victims, c.slab[i].key)
 	}
-	c.order.Init()
-	c.index = map[features.FlowKey]*list.Element{}
+	c.slab = c.slab[:0]
+	c.head, c.tail, c.free = none, none, none
+	c.index.Reset()
 	c.stats.RulesEvicted += len(victims)
 	c.mu.Unlock()
 
@@ -307,10 +363,11 @@ func (c *Controller) Touch(key features.FlowKey) {
 	if c.policy != LRU {
 		return
 	}
+	key = key.Canonical()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.index[key.Canonical()]; ok {
-		c.order.MoveToBack(el)
+	if i, ok := c.index.Get(key, key.FoldCanonical()); ok {
+		c.moveToBackLocked(i)
 	}
 }
 
@@ -325,5 +382,5 @@ func (c *Controller) Stats() Stats {
 func (c *Controller) BlacklistLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.index.Len()
 }

@@ -58,11 +58,11 @@ func TestBiHashSymmetric(t *testing.T) {
 	if k.BiHash(0) == k.BiHash(1) {
 		t.Error("different seeds should (almost surely) differ")
 	}
-	if k.Index(0, 1024) < 0 || k.Index(0, 1024) >= 1024 {
-		t.Error("Index out of range")
+	if i := IndexFold(k.Fold(), 0, 1024); i < 0 || i >= 1024 {
+		t.Error("IndexFold out of range")
 	}
-	if k.Index(0, 0) != 0 {
-		t.Error("Index with size 0 should be 0")
+	if IndexFold(k.Fold(), 0, 0) != 0 {
+		t.Error("IndexFold with size 0 should be 0")
 	}
 }
 

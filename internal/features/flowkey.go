@@ -182,11 +182,6 @@ func (k FlowKey) BiHash(seed uint32) uint32 {
 	return BiHashFold(k.Fold(), seed)
 }
 
-// Index maps the bi-hash into a table of the given size.
-func (k FlowKey) Index(seed uint32, size int) int {
-	return IndexFold(k.Fold(), seed, size)
-}
-
 // IndexFold maps an already-folded key into a seeded table of the
 // given size — the per-table step of a shared-fold lookup.
 //

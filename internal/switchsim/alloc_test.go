@@ -4,16 +4,17 @@ import (
 	"testing"
 	"time"
 
+	"iguard/internal/features"
 	"iguard/internal/netpkt"
 )
 
 // TestProcessPacketAllocationFree pins the zero-allocation contract of
 // the packet hot path: in steady state — brown early packets, blue
 // classifications with their green recirculation, purple early
-// decisions, and orange collisions — ProcessPacket must never touch
-// the heap. A regression here is a throughput regression in every
-// serving shard, so it fails loudly rather than showing up only in
-// benchmark numbers.
+// decisions, red blacklist hits and misses, and orange collisions —
+// ProcessPacket must never touch the heap. A regression here is a
+// throughput regression in every serving shard, so it fails loudly
+// rather than showing up only in benchmark numbers.
 func TestProcessPacketAllocationFree(t *testing.T) {
 	t.Run("brown-steady-state", func(t *testing.T) {
 		// Threshold high enough that the flow keeps accumulating: every
@@ -51,6 +52,32 @@ func TestProcessPacketAllocationFree(t *testing.T) {
 			i++
 		}); n != 0 {
 			t.Errorf("blue/purple-path allocs = %v, want 0", n)
+		}
+	})
+
+	t.Run("red-blacklist", func(t *testing.T) {
+		// Half the flows are blacklisted (entered in reverse direction):
+		// packets alternate red-path hits and blacklist probe misses.
+		sw := newTestSwitch(1<<30, time.Hour)
+		pkts := make([]netpkt.Packet, 64)
+		for i := range pkts {
+			pkts[i] = mkPkt(byte(40+i%16), 4000, 100, time.Duration(i)*time.Millisecond)
+			if i%2 == 0 {
+				sw.InstallBlacklist(features.KeyOf(&pkts[i]).Reverse())
+			}
+		}
+		for i := range pkts[:16] {
+			sw.ProcessPacket(&pkts[i])
+		}
+		i := 0
+		if n := testing.AllocsPerRun(400, func() {
+			sw.ProcessPacket(&pkts[i%len(pkts)])
+			i++
+		}); n != 0 {
+			t.Errorf("red-path allocs = %v, want 0", n)
+		}
+		if sw.Counters.PathCounts[PathRed] == 0 || sw.Counters.PathCounts[PathBrown] == 0 {
+			t.Fatal("workload missed the red path or its misses; the assertion is vacuous")
 		}
 	})
 

@@ -189,7 +189,7 @@ type Switch struct {
 	cfg       Config
 	tables    [2][]slot
 	seeds     [2]uint32
-	blacklist map[features.FlowKey]bool
+	blacklist features.KeyIndex
 	lastSweep time.Time
 	Counters  Counters
 
@@ -227,7 +227,7 @@ type Switch struct {
 // New builds a switch from the config.
 func New(cfg Config) *Switch {
 	cfg = cfg.withDefaults()
-	sw := &Switch{cfg: cfg, blacklist: map[features.FlowKey]bool{}, seeds: [2]uint32{0x1badb002, 0x5ca1ab1e}}
+	sw := &Switch{cfg: cfg, seeds: [2]uint32{0x1badb002, 0x5ca1ab1e}}
 	sw.tables[0] = make([]slot, cfg.Slots)
 	sw.tables[1] = make([]slot, cfg.Slots)
 	return sw
@@ -259,23 +259,17 @@ func (sw *Switch) SetRules(pl, fl *rules.CompiledRuleSet) {
 // match). It returns false when the table is full.
 func (sw *Switch) InstallBlacklist(key features.FlowKey) bool {
 	k := key.Canonical()
-	if sw.blacklist[k] {
-		return true
-	}
-	if len(sw.blacklist) >= sw.cfg.BlacklistCapacity {
-		return false
-	}
-	sw.blacklist[k] = true
-	return true
+	return sw.blacklist.Put(k, k.FoldCanonical(), 0, sw.cfg.BlacklistCapacity)
 }
 
 // RemoveBlacklist deletes a 5-tuple from the blacklist.
 func (sw *Switch) RemoveBlacklist(key features.FlowKey) {
-	delete(sw.blacklist, key.Canonical())
+	k := key.Canonical()
+	sw.blacklist.Delete(k, k.FoldCanonical())
 }
 
 // BlacklistLen returns the current blacklist size.
-func (sw *Switch) BlacklistLen() int { return len(sw.blacklist) }
+func (sw *Switch) BlacklistLen() int { return sw.blacklist.Len() }
 
 // lookup finds the resident slot for key, or a free slot; when
 // candidate slots hold other flows it returns them as collision
@@ -463,8 +457,9 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 			sw.lastSweep = now
 		}
 	}
-	// Red path: blacklist match.
-	if sw.blacklist[key] {
+	// Red path: blacklist match, probed with the fold the packet
+	// already carries.
+	if _, hit := sw.blacklist.Get(key, fold); hit {
 		sw.Counters.PathCounts[PathRed]++
 		sw.Counters.Drops++
 		// Blacklisted flows are always blocked, independent of the
@@ -670,8 +665,9 @@ func (sw *Switch) ActiveFlows() int {
 // the idle timeout.
 func (sw *Switch) ClearFlow(key features.FlowKey) {
 	k := key.Canonical()
+	fold := k.FoldCanonical()
 	for ti := 0; ti < 2; ti++ {
-		idx := k.Index(sw.seeds[ti], sw.cfg.Slots)
+		idx := features.IndexFold(fold, sw.seeds[ti], sw.cfg.Slots)
 		s := &sw.tables[ti][idx]
 		if s.valid && s.key == k {
 			s.state = features.FlowState{}
