@@ -35,14 +35,13 @@ bench-parallel:
 bench-serve:
 	go test -bench 'BenchmarkProcessPacket|BenchmarkServeThroughput' -benchmem -run '^$$' ./internal/serve
 
-# Batch-path benchmarks: the switch batch pass, the feature-major
-# batch matcher vs per-code matching, and end-to-end serve throughput
-# at batch 64 on dense and sparse (capture-like) trace timing and at
-# batch 1 (every packet its own hand-off), with the mean batch fill
-# (pkts/batch) beside pps.
+# Batch-path benchmarks: the switch batch pass (ProcessPacket in a
+# loop over precomputed keys and folds), and end-to-end serve
+# throughput at batch 64 on dense and sparse (capture-like) trace
+# timing and at batch 1 (every packet its own hand-off), with the mean
+# batch fill (pkts/batch) beside pps.
 bench-batch:
 	go test -bench 'BenchmarkProcessBatch|BenchmarkServeThroughput' -benchmem -run '^$$' ./internal/serve
-	go test -bench 'BenchmarkMatchColumns' -benchmem -run '^$$' ./internal/rules
 
 # Multi-producer fan-in scaling: P concurrent lanes (1/2/4/8) driving
 # a 4-shard batched server, swept across GOMAXPROCS so the pps metric

@@ -1,71 +1,21 @@
 package rules
 
-import "iguard/internal/mathx"
+// This file is the batch face of the matcher: MatchColumns answers a
+// batch of quantised vectors laid out feature-major ("columns") by
+// gathering each column and asking MatchCodes, so its verdicts are
+// MatchCodes' by construction. No serving path calls it — the switch
+// matches each packet that needs a PL verdict on its own, through
+// Match — but the benchmark's per-layer PL-match timing
+// (bench/layers.go) still drives this face with EncodeColumnInto.
 
-// This file is the batch face of the bit-vector matcher: where
-// MatchCodes answers one quantised vector at a time, MatchColumns
-// answers a whole batch laid out feature-major ("columns"), the shape
-// the serving runtime's per-shard batches arrive in. The batch pass is
-// word-parallel and cache-linear: each feature's quantiser parameters
-// are loaded once for the whole batch, interval location runs down one
-// contiguous code column at a time, and the verdict AND walks one
-// bitmap plane (see bvFeature.bitmaps) per feature per word — a small
-// cache-resident block — instead of striding through per-packet state.
-// Verdicts are identical to calling Match on each column by
-// construction; the differential tests pin it.
-
-// batchProbeColumns is the probe-batch size calibrateBatch replays
-// through both batch arms' cost models when Compile picks the
-// MatchColumns implementation for a rule set.
-const batchProbeColumns = 256
-
-// batchHybridFoldWeight scales the early-exit arm's fold count when
-// calibrateBatch compares the two arms: each of its folds carries a
-// dead-accumulator branch and a per-column gather where the plane
-// walk's fold is branch-free and cache-linear, so an early-exit fold
-// costs more than a plane fold. Fitted from the forced-arm
-// BenchmarkMatchColumns crossover, which lands between 4 words
-// (plane/hybrid fold ratio 1.39, plane walk faster) and 8 words
-// (ratio 2.03, early-exit faster) on miss-heavy uniform batches.
-const batchHybridFoldWeight = 1.7
-
-// BatchScratch is caller-owned scratch for MatchColumns. The zero
-// value is ready to use; it grows to the largest dims × batch shape it
-// has seen and is then reused allocation-free. A BatchScratch must not
-// be shared between goroutines (the serving runtime keeps one per
-// shard switch).
-type BatchScratch struct {
-	// rows holds the located elementary-interval index of every
-	// (feature, column) pair, feature-major with the batch length as
-	// stride.
-	rows []uint32
-	// alive is the per-column in-domain mask: ^0 while every feature
-	// code seen so far lies inside the quantised domain, 0 once any
-	// feature is out of domain (such a column misses every rule, the
-	// same answer MatchCodes gives).
-	alive []uint64
-	// acc is the per-column word accumulator of the AND pass.
-	acc []uint64
-}
-
-// ensure grows the scratch to hold dims × n entries.
-//
-//iguard:coldpath amortised scratch growth on batch-shape changes, not per packet
-func (s *BatchScratch) ensure(dims, n int) {
-	if len(s.rows) < dims*n {
-		s.rows = make([]uint32, dims*n)
-	}
-	if len(s.alive) < n {
-		s.alive = make([]uint64, n)
-		s.acc = make([]uint64, n)
-	}
-}
+// BatchScratch is the scratch argument of MatchColumns. The gather
+// keeps no state between columns, so the type is empty; it remains so
+// MatchColumns keeps the signature its benchmark caller uses.
+type BatchScratch struct{}
 
 // EncodeColumnInto quantises one feature's values for a whole batch:
 // dst[j] = Encode(feature, vals[j]). dst must have capacity at least
-// len(vals). It is the feature-major companion of EncodeVectorInto —
-// the quantiser's per-feature parameters are read once for the whole
-// column, which is what makes batch quantisation cache-linear.
+// len(vals). It is the feature-major companion of EncodeVectorInto.
 //
 //iguard:hotpath
 func (q *Quantizer) EncodeColumnInto(dst []uint64, feature int, vals []float64) []uint64 {
@@ -80,173 +30,31 @@ func (q *Quantizer) EncodeColumnInto(dst []uint64, feature int, vals []float64) 
 // column's verdict (0 whitelisted, else the default label) into
 // dst[:n]. codes is feature-major: feature f's code for column i is
 // codes[f*stride+i], so a batch quantised with EncodeColumnInto at
-// stride n plugs in directly. scratch is caller-owned and reused
-// across calls; after its first growth the call is allocation-free.
-// Verdicts are exactly those of MatchCodes on each column.
+// stride n plugs in directly. Each column is gathered into a stack
+// buffer and answered by MatchCodes, so verdicts are exactly
+// MatchCodes' and the call is allocation-free on every iGuard feature
+// space. The scratch argument is unused (see BatchScratch).
 //
 //iguard:hotpath
-func (c *CompiledRuleSet) MatchColumns(dst []int, codes []uint64, stride, n int, scratch *BatchScratch) {
-	if n == 0 {
-		return
-	}
-	ix := c.bv
+func (c *CompiledRuleSet) MatchColumns(dst []int, codes []uint64, stride, n int, _ *BatchScratch) {
 	dims := len(c.Quantizer.Bits)
-	if ix == nil || dims > bvMaxDims {
-		c.matchColumnsLinear(dst, codes, stride, n)
-		return
-	}
-	if !ix.usePlanes {
-		// Wide sets (per Compile's calibration, not a hardcoded word
-		// cut): the plane walk below must fold every plane of every
-		// word for the whole batch, while MatchCodes carries two early
-		// exits (dead accumulator, first hit) — on miss-heavy batches
-		// those cuts dominate once the rule set spans many words, so
-		// gather each column and take them.
-		var buf [bvMaxDims]uint64
-		for i := 0; i < n; i++ {
-			for f := 0; f < dims; f++ {
-				buf[f] = codes[f*stride+i]
-			}
-			dst[i] = c.MatchCodes(buf[:dims])
-		}
-		return
-	}
-	scratch.ensure(dims, n)
-	rows, alive, acc := scratch.rows, scratch.alive, scratch.acc
-	for i := 0; i < n; i++ {
-		alive[i] = ^uint64(0)
-	}
-	// Interval location, one contiguous column at a time.
-	for f := 0; f < dims; f++ {
-		ft := &ix.feats[f]
-		col := codes[f*stride : f*stride+n]
-		rcol := rows[f*n : f*n+n]
-		if ft.direct != nil {
-			for i, code := range col {
-				if code >= ft.levels {
-					alive[i] = 0
-					rcol[i] = 0
-					continue
-				}
-				rcol[i] = ft.direct[code]
-			}
-		} else {
-			for i, code := range col {
-				if code >= ft.levels {
-					alive[i] = 0
-					rcol[i] = 0
-					continue
-				}
-				rcol[i] = ft.locate(code)
-			}
-		}
-	}
-	// Word-parallel AND: for each bitmap word, fold every feature's
-	// plane into the per-column accumulator; a surviving bit in any
-	// word is a whitelist rule containing the column.
-	for i := 0; i < n; i++ {
-		dst[i] = c.DefaultLabel
-	}
-	words := ix.words
-	for w := 0; w < words; w++ {
-		copy(acc[:n], alive[:n])
-		for f := 0; f < dims; f++ {
-			plane := ix.feats[f].bitmaps[w*ix.feats[f].nivs:]
-			rcol := rows[f*n : f*n+n]
-			for i := 0; i < n; i++ {
-				acc[i] &= plane[rcol[i]]
-			}
-		}
-		for i := 0; i < n; i++ {
-			if acc[i] != 0 {
-				dst[i] = 0
-			}
-		}
-	}
-}
-
-// BatchMatcherKind names the MatchColumns arm Compile's calibration
-// picked for this set: "columns" (word-parallel plane walk), "hybrid"
-// (shared location pass + per-column early-exit AND), or "linear" when
-// there is no bit-vector index.
-func (c *CompiledRuleSet) BatchMatcherKind() string {
-	if c.bv == nil {
-		return "linear"
-	}
-	if c.bv.usePlanes {
-		return "columns"
-	}
-	return "hybrid"
-}
-
-// calibrateBatch picks the MatchColumns arm for this index by replaying
-// a deterministic uniform probe batch through both arms' cost models —
-// a measured per-compile decision instead of a hardcoded word-count
-// cutover. The plane walk folds exactly words × dims planes per column;
-// the early-exit walk's fold count depends on how quickly accumulators
-// die on this rule geometry, which the probe batch measures directly.
-// Runs once per Compile, off the packet path.
-func (ix *bvIndex) calibrateBatch() {
-	dims := len(ix.feats)
-	r := mathx.NewRand(int64(ix.words)*64 + int64(dims))
-	planeFolds := batchProbeColumns * ix.words * dims
-	hybridFolds := 0
-	var rowBuf [bvMaxDims]uint32
-	for c := 0; c < batchProbeColumns; c++ {
-		for f := 0; f < dims; f++ {
-			ft := &ix.feats[f]
-			rowBuf[f] = ft.locate(uint64(r.Int63n(int64(ft.levels))))
-		}
-		for w := 0; w < ix.words; w++ {
-			word := ^uint64(0)
-			for f := 0; f < dims; f++ {
-				ft := &ix.feats[f]
-				hybridFolds++
-				word &= ft.bitmaps[w*ft.nivs+int(rowBuf[f])]
-				if word == 0 {
-					break
-				}
-			}
-			if word != 0 {
-				break
-			}
-		}
-	}
-	ix.usePlanes = float64(planeFolds) <= float64(hybridFolds)*batchHybridFoldWeight
-}
-
-// matchColumnsLinear is the column-gathering fallback for sets without
-// a bit-vector index: each column is extracted into a stack buffer and
-// answered by MatchCodes (which itself falls back to the linear scan).
-//
-//iguard:hotpath
-func (c *CompiledRuleSet) matchColumnsLinear(dst []int, codes []uint64, stride, n int) {
-	dims := len(c.Quantizer.Bits)
+	var stack [bvMaxDims]uint64
+	buf := stack[:]
 	if dims > bvMaxDims {
-		c.matchColumnsWide(dst, codes, stride, n)
-		return
+		buf = wideCodes(dims)
 	}
-	var buf [bvMaxDims]uint64
+	buf = buf[:dims]
 	for i := 0; i < n; i++ {
-		for f := 0; f < dims; f++ {
-			buf[f] = codes[f*stride+i]
-		}
-		dst[i] = c.MatchCodes(buf[:dims])
-	}
-}
-
-// matchColumnsWide handles vectors wider than the stack buffer. No
-// iGuard feature space is this wide (FL is 13, PL is 4), so the
-// allocation is off the per-packet contract.
-//
-//iguard:coldpath only reachable for >bvMaxDims-dimensional vectors
-func (c *CompiledRuleSet) matchColumnsWide(dst []int, codes []uint64, stride, n int) {
-	dims := len(c.Quantizer.Bits)
-	buf := make([]uint64, dims)
-	for i := 0; i < n; i++ {
-		for f := 0; f < dims; f++ {
+		for f := range buf {
 			buf[f] = codes[f*stride+i]
 		}
 		dst[i] = c.MatchCodes(buf)
 	}
 }
+
+// wideCodes allocates the gather buffer for vectors wider than the
+// stack buffer. No iGuard feature space is this wide (FL is 13, PL is
+// 4), so the allocation is off the per-packet contract.
+//
+//iguard:coldpath only reachable for >bvMaxDims-dimensional vectors
+func wideCodes(dims int) []uint64 { return make([]uint64, dims) }

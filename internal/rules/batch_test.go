@@ -25,14 +25,11 @@ func columnsOf(rows [][]uint64, dims int) []uint64 {
 // interval location), dimensionality, and rule count — including >64
 // rules, where the verdict spans several bitmap words — MatchColumns
 // over a batch of random and boundary code vectors must agree column
-// for column with MatchCodes, on both batch arms (the calibrated
-// per-compile choice is forced each way, so the plane walk and the
-// early-exit walk are always both differentialled).
+// for column with MatchCodes.
 func TestMatchColumnsMatchesMatchCodes(t *testing.T) {
 	for _, bits := range []int{1, 4, 12, 17} {
 		for _, dim := range []int{1, 4, 13} {
-			// 600 rules spans many bitmap words, the regime where
-			// Compile's calibration picks the early-exit arm.
+			// 600 rules span several bitmap words.
 			for _, count := range []int{3, 60, 150, 600} {
 				t.Run(fmt.Sprintf("bits=%d/dim=%d/rules=%d", bits, dim, count), func(t *testing.T) {
 					r := mathx.NewRand(int64(bits*101 + dim*13 + count))
@@ -67,49 +64,17 @@ func TestMatchColumnsMatchesMatchCodes(t *testing.T) {
 					}
 					rows = append(rows, oob)
 
-					arms := []bool{true}
-					if c.bv != nil {
-						arms = []bool{true, false}
-					}
-					for _, usePlanes := range arms {
-						if c.bv != nil {
-							c.bv.usePlanes = usePlanes
-						}
-						var scratch BatchScratch
-						got := make([]int, len(rows))
-						c.MatchColumns(got, columnsOf(rows, dim), len(rows), len(rows), &scratch)
-						for i, codes := range rows {
-							if want := c.MatchCodes(codes); got[i] != want {
-								t.Fatalf("usePlanes=%v column %d (%v): MatchColumns = %d, MatchCodes = %d", usePlanes, i, codes, got[i], want)
-							}
+					var scratch BatchScratch
+					got := make([]int, len(rows))
+					c.MatchColumns(got, columnsOf(rows, dim), len(rows), len(rows), &scratch)
+					for i, codes := range rows {
+						if want := c.MatchCodes(codes); got[i] != want {
+							t.Fatalf("column %d (%v): MatchColumns = %d, MatchCodes = %d", i, codes, got[i], want)
 						}
 					}
 				})
 			}
 		}
-	}
-}
-
-// TestBatchMatcherCalibration pins the measured per-compile cutover at
-// its two ends: a narrow set (1 bitmap word) must keep the word-parallel
-// plane walk, and a wide miss-heavy set (1024 rules, 16 words — the
-// BENCH_8 regression shape) must pick the early-exit arm instead of
-// folding all 16 words for every column.
-func TestBatchMatcherCalibration(t *testing.T) {
-	narrow := Compile(randomRuleSet(mathx.NewRand(3), 4, 16), quantizerFor(4, 12))
-	if kind := narrow.BatchMatcherKind(); kind != "columns" {
-		t.Errorf("16-rule set: BatchMatcherKind = %q, want columns", kind)
-	}
-	wide := Compile(randomRuleSet(mathx.NewRand(7), 4, 1400), quantizerFor(4, 12))
-	if len(wide.Rules) <= 1024 {
-		t.Fatalf("wide fixture compiled to %d rules, want > 1024", len(wide.Rules))
-	}
-	if kind := wide.BatchMatcherKind(); kind != "hybrid" {
-		t.Errorf("%d-rule set: BatchMatcherKind = %q, want hybrid", len(wide.Rules), kind)
-	}
-	linear := &CompiledRuleSet{Quantizer: quantizerFor(2, 8), DefaultLabel: 1}
-	if kind := linear.BatchMatcherKind(); kind != "linear" {
-		t.Errorf("index-less set: BatchMatcherKind = %q, want linear", kind)
 	}
 }
 
@@ -140,8 +105,8 @@ func TestMatchColumnsLinearFallback(t *testing.T) {
 	}
 }
 
-// TestMatchColumnsAllocationFree pins the steady-state batch match at
-// zero allocations once the scratch has grown.
+// TestMatchColumnsAllocationFree pins the batch match at zero
+// allocations: the column gather lives on the stack.
 func TestMatchColumnsAllocationFree(t *testing.T) {
 	r := mathx.NewRand(5)
 	c := Compile(randomRuleSet(r, 4, 120), quantizerFor(4, 12))
@@ -152,7 +117,6 @@ func TestMatchColumnsAllocationFree(t *testing.T) {
 	}
 	dst := make([]int, n)
 	var scratch BatchScratch
-	c.MatchColumns(dst, codes, n, n, &scratch) // warm the scratch
 	if allocs := testing.AllocsPerRun(100, func() {
 		c.MatchColumns(dst, codes, n, n, &scratch)
 	}); allocs != 0 {

@@ -75,50 +75,6 @@ func BenchmarkMatchFloat(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchColumns contrasts the batch matcher against per-vector
-// MatchCodes over the same probes: ns/op is per vector in both cases,
-// so the gap is the cache-linearity and amortisation the feature-major
-// plane walk buys.
-func BenchmarkMatchColumns(b *testing.B) {
-	for _, count := range []int{16, 128, 1024} {
-		c, probes := benchCompiled(count)
-		n := len(probes)
-		cols := columnsOf(probes, 4)
-		dst := make([]int, n)
-		var scratch BatchScratch
-		b.Run(fmt.Sprintf("impl=percode/rules=%d", count), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c.MatchCodes(probes[i%n])
-			}
-		})
-		// The two batch arms forced each way, plus the calibrated
-		// per-compile choice — the spread between "columns" and
-		// "hybrid" at each rule count is what calibrateBatch arbitrates.
-		b.Run(fmt.Sprintf("impl=columns/rules=%d", count), func(b *testing.B) {
-			c.bv.usePlanes = true
-			b.ReportAllocs()
-			for i := 0; i < b.N; i += n {
-				c.MatchColumns(dst, cols, n, n, &scratch)
-			}
-		})
-		b.Run(fmt.Sprintf("impl=hybrid/rules=%d", count), func(b *testing.B) {
-			c.bv.usePlanes = false
-			b.ReportAllocs()
-			for i := 0; i < b.N; i += n {
-				c.MatchColumns(dst, cols, n, n, &scratch)
-			}
-		})
-		b.Run(fmt.Sprintf("impl=auto/rules=%d", count), func(b *testing.B) {
-			c.bv.calibrateBatch()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i += n {
-				c.MatchColumns(dst, cols, n, n, &scratch)
-			}
-		})
-	}
-}
-
 // BenchmarkCompile tracks rule-compilation cost (quantise, dedup,
 // index build) — the control-plane price paid per whitelist hot-swap.
 func BenchmarkCompile(b *testing.B) {

@@ -40,11 +40,7 @@ type bvFeature struct {
 	// nivs is the elementary-interval count (== len(bounds)).
 	nivs int
 	// bitmaps holds the elementary-interval rule bitmaps flattened
-	// word-major ("plane" layout): word w of interval j lives at
-	// bitmaps[w*nivs+j]. Each plane is a contiguous nivs-word region,
-	// so the batch matcher's per-word pass over many packets stays
-	// inside one small cache-resident block per feature, while the
-	// single-packet matcher pays only a stride change.
+	// word-major: word w of interval j lives at bitmaps[w*nivs+j].
 	bitmaps []uint64
 	// direct maps code → elementary-interval index; nil when levels
 	// exceeds bvDirectLevelCap.
@@ -77,9 +73,6 @@ type bvIndex struct {
 	// words is the bitmap width: ceil(len(rules)/64).
 	words int
 	feats []bvFeature
-	// usePlanes selects MatchColumns' word-parallel plane walk over the
-	// per-column early-exit walk; set by calibrateBatch at Compile.
-	usePlanes bool
 }
 
 // bytes reports the index's memory footprint.

@@ -93,12 +93,11 @@ func TestMatchCodesBitvectorMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestMatchVariantsAgree pins Match, MatchInto and MatchCodes to one
-// verdict on float inputs straddling rule edges.
+// TestMatchVariantsAgree pins Match, MatchCodes and the linear oracle
+// to one verdict on float inputs straddling rule edges.
 func TestMatchVariantsAgree(t *testing.T) {
 	r := mathx.NewRand(5)
 	c := Compile(randomRuleSet(r, 4, 40), quantizerFor(4, 10))
-	scratch := make([]uint64, 4)
 	codes := make([]uint64, 4)
 	for trial := 0; trial < 500; trial++ {
 		x := make([]float64, 4)
@@ -106,11 +105,12 @@ func TestMatchVariantsAgree(t *testing.T) {
 			x[i] = r.Float64()*110 - 5 // includes out-of-range values
 		}
 		want := c.Match(x)
-		if got := c.MatchInto(x, scratch); got != want {
-			t.Fatalf("MatchInto(%v) = %d, Match says %d", x, got, want)
-		}
-		if got := c.MatchCodes(c.Quantizer.EncodeVectorInto(codes, x)); got != want {
+		c.Quantizer.EncodeVectorInto(codes, x)
+		if got := c.MatchCodes(codes); got != want {
 			t.Fatalf("MatchCodes(%v) = %d, Match says %d", x, got, want)
+		}
+		if got := c.matchCodesLinear(codes); got != want {
+			t.Fatalf("matchCodesLinear(%v) = %d, Match says %d", x, got, want)
 		}
 	}
 }
@@ -184,15 +184,14 @@ func TestMatchAllocationFree(t *testing.T) {
 		x[i] = r.Float64() * 100
 	}
 	codes := c.Quantizer.EncodeVector(x)
-	scratch := make([]uint64, 13)
 	if n := testing.AllocsPerRun(200, func() { c.MatchCodes(codes) }); n != 0 {
 		t.Errorf("MatchCodes allocs = %v, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { c.Match(x) }); n != 0 {
 		t.Errorf("Match allocs = %v, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { c.MatchInto(x, scratch) }); n != 0 {
-		t.Errorf("MatchInto allocs = %v, want 0", n)
+	if n := testing.AllocsPerRun(200, func() { c.Quantizer.EncodeVectorInto(codes, x) }); n != 0 {
+		t.Errorf("EncodeVectorInto allocs = %v, want 0", n)
 	}
 }
 

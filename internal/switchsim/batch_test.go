@@ -58,12 +58,25 @@ func batchTestSwitch(sink DigestSink) *Switch {
 	})
 }
 
-// TestProcessBatchMatchesProcessPacket is the tentpole equivalence pin:
-// at every batch size, with and without caller-supplied flow keys,
+// keysAndFolds derives each packet's canonical flow key and fold the
+// way every ProcessBatch caller does (features.CanonicalFoldOf).
+func keysAndFolds(pkts []netpkt.Packet) ([]features.FlowKey, []uint32) {
+	keys := make([]features.FlowKey, len(pkts))
+	folds := make([]uint32, len(pkts))
+	for i := range pkts {
+		keys[i], folds[i] = features.CanonicalFoldOf(&pkts[i])
+	}
+	return keys, folds
+}
+
+// TestProcessBatchMatchesProcessPacket is the batch equivalence pin:
+// at every batch size, with keys and folds precomputed by the caller
+// (the serve hand-off shape, the only one ProcessBatch takes),
 // ProcessBatch must produce byte-identical decisions, counters, and
 // digest streams to running ProcessPacket over the same trace.
 func TestProcessBatchMatchesProcessPacket(t *testing.T) {
 	trace := mixedTrace(2000)
+	keys, folds := keysAndFolds(trace)
 
 	var refSink digestRecorder
 	ref := batchTestSwitch(&refSink)
@@ -76,65 +89,44 @@ func TestProcessBatchMatchesProcessPacket(t *testing.T) {
 	}
 
 	for _, batch := range []int{1, 7, 64, 1024} {
-		// derive: ProcessBatch computes keys and folds itself; keys:
-		// the caller precomputes canonical keys (serve's router does);
-		// folds: the caller precomputes keys and their folds too — the
-		// full serve hand-off shape.
-		for _, mode := range []string{"derive", "keys", "folds"} {
-			t.Run(fmt.Sprintf("batch=%d/mode=%s", batch, mode), func(t *testing.T) {
-				var sink digestRecorder
-				sw := batchTestSwitch(&sink)
-				got := make([]Decision, len(trace))
-				keys := make([]features.FlowKey, batch)
-				folds := make([]uint32, batch)
-				for off := 0; off < len(trace); off += batch {
-					end := off + batch
-					if end > len(trace) {
-						end = len(trace)
-					}
-					chunk := trace[off:end]
-					var ks []features.FlowKey
-					var fs []uint32
-					if mode != "derive" {
-						ks = keys[:len(chunk)]
-						for i := range chunk {
-							ks[i] = features.KeyOf(&chunk[i]).Canonical()
-						}
-					}
-					if mode == "folds" {
-						fs = folds[:len(chunk)]
-						for i := range ks {
-							fs[i] = ks[i].FoldCanonical()
-						}
-					}
-					sw.ProcessBatch(chunk, ks, fs, got[off:end])
+		// mode=folds: the caller supplies keys and folds.
+		t.Run(fmt.Sprintf("batch=%d/mode=folds", batch), func(t *testing.T) {
+			var sink digestRecorder
+			sw := batchTestSwitch(&sink)
+			got := make([]Decision, len(trace))
+			for off := 0; off < len(trace); off += batch {
+				end := off + batch
+				if end > len(trace) {
+					end = len(trace)
 				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("packet %d: batch decision %+v, single %+v", i, got[i], want[i])
-					}
+				sw.ProcessBatch(trace[off:end], keys[off:end], folds[off:end], got[off:end])
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("packet %d: batch decision %+v, single %+v", i, got[i], want[i])
 				}
-				if sw.Counters != ref.Counters {
-					t.Errorf("counters diverge: batch %+v, single %+v", sw.Counters, ref.Counters)
+			}
+			if sw.Counters != ref.Counters {
+				t.Errorf("counters diverge: batch %+v, single %+v", sw.Counters, ref.Counters)
+			}
+			if len(sink.digests) != len(refSink.digests) {
+				t.Fatalf("digest count %d, want %d", len(sink.digests), len(refSink.digests))
+			}
+			for i := range sink.digests {
+				if sink.digests[i] != refSink.digests[i] {
+					t.Fatalf("digest %d: batch %+v, single %+v", i, sink.digests[i], refSink.digests[i])
 				}
-				if len(sink.digests) != len(refSink.digests) {
-					t.Fatalf("digest count %d, want %d", len(sink.digests), len(refSink.digests))
-				}
-				for i := range sink.digests {
-					if sink.digests[i] != refSink.digests[i] {
-						t.Fatalf("digest %d: batch %+v, single %+v", i, sink.digests[i], refSink.digests[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// TestProcessBatchNoPLRules covers the havePL=false arm: with no PL
-// whitelist there is nothing to precompute, and the batch walk must
+// TestProcessBatchNoPLRules covers a switch with no PL whitelist: every
+// PL verdict is the forward-unchecked default, and the batch walk must
 // still match the per-packet pipeline.
 func TestProcessBatchNoPLRules(t *testing.T) {
 	trace := mixedTrace(600)
+	keys, folds := keysAndFolds(trace)
 	mk := func() *Switch {
 		return New(Config{
 			Slots:         4,
@@ -156,7 +148,7 @@ func TestProcessBatchNoPLRules(t *testing.T) {
 		if end > len(trace) {
 			end = len(trace)
 		}
-		sw.ProcessBatch(trace[off:end], nil, nil, got[off:end])
+		sw.ProcessBatch(trace[off:end], keys[off:end], folds[off:end], got[off:end])
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -169,7 +161,7 @@ func TestProcessBatchNoPLRules(t *testing.T) {
 }
 
 // TestProcessBatchAllocationFree pins the batch hot path at zero
-// steady-state allocations once the batch scratch has grown.
+// allocations in steady state.
 func TestProcessBatchAllocationFree(t *testing.T) {
 	sw := newTestSwitch(2, time.Hour) // blue/purple cycling, nil sink
 	const n = 64
@@ -177,11 +169,37 @@ func TestProcessBatchAllocationFree(t *testing.T) {
 	for i := range pkts {
 		pkts[i] = mkPkt(byte(i%4), uint16(2000+i%4), 100, time.Duration(i)*time.Millisecond)
 	}
+	keys, folds := keysAndFolds(pkts)
 	out := make([]Decision, n)
-	sw.ProcessBatch(pkts, nil, nil, out) // warm the scratch
+	sw.ProcessBatch(pkts, keys, folds, out) // admit the four flows
 	if allocs := testing.AllocsPerRun(200, func() {
-		sw.ProcessBatch(pkts, nil, nil, out)
+		sw.ProcessBatch(pkts, keys, folds, out)
 	}); allocs != 0 {
 		t.Errorf("ProcessBatch allocs/op = %v, want 0", allocs)
+	}
+}
+
+// TestProcessBatchGrowthAllocationFree pins that the batch pass keeps
+// no per-batch scratch: a batch larger than any the switch has seen
+// must not allocate either. Each measured call is one packet longer
+// than the last, over a trace that takes the PL-matched paths (brown,
+// orange and blue with a PL whitelist installed).
+func TestProcessBatchGrowthAllocationFree(t *testing.T) {
+	sw := batchTestSwitch(nil)
+	trace := mixedTrace(2000)
+	keys, folds := keysAndFolds(trace)
+	out := make([]Decision, len(trace))
+	sw.ProcessBatch(trace[:8], keys[:8], folds[:8], out[:8])
+	off, size := 8, 8
+	if allocs := testing.AllocsPerRun(40, func() {
+		size++
+		end := off + size
+		sw.ProcessBatch(trace[off:end], keys[off:end], folds[off:end], out[off:end])
+		off = end
+	}); allocs != 0 {
+		t.Errorf("ProcessBatch allocs/op on growing batches = %v, want 0", allocs)
+	}
+	if sw.Counters.PathCounts[PathBrown] == 0 || sw.Counters.PathCounts[PathOrange] == 0 {
+		t.Fatalf("trace missed the PL-matched paths (counters %+v); the assertion is vacuous", sw.Counters)
 	}
 }

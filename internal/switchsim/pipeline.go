@@ -209,19 +209,6 @@ type Switch struct {
 	//
 	//iguard:ownedby(switch)
 	plBuf [features.PLDim]float64
-
-	// Batch scratch, sized to the largest batch seen (growBatch). The
-	// PL values and codes are feature-major so one quantiser pass and
-	// one word-parallel match cover the whole batch (§ DESIGN 12).
-	//
-	//iguard:ownedby(switch)
-	batchPL []float64
-	//iguard:ownedby(switch)
-	batchCodes []uint64
-	//iguard:ownedby(switch)
-	batchPLV []int
-	//iguard:ownedby(switch)
-	batchMatch rules.BatchScratch
 }
 
 // New builds a switch from the config.
@@ -358,95 +345,31 @@ func (sw *Switch) mirrorToCPU(p *netpkt.Packet) {
 //iguard:hotpath
 func (sw *Switch) ProcessPacket(p *netpkt.Packet) Decision {
 	key, fold := features.CanonicalFoldOf(p)
-	return sw.processOne(p, key, fold, -1)
+	return sw.processOne(p, key, fold)
 }
 
 // ProcessBatch runs a batch of packets through the pipeline, writing
-// each packet's decision into out (len(out) must be ≥ len(pkts)).
-// Decisions and counters are byte-identical to calling ProcessPacket
-// on each packet in order — the batch form exists to amortise the
-// per-packet setup: the PL feature vectors of the whole batch are
-// quantised feature-major in one pass and matched word-parallel
-// (rules.MatchColumns) before the per-packet pipeline walk, which then
-// consumes the precomputed verdicts on the arms that need them. keys,
-// when non-nil, carries each packet's canonical flow key (computed
-// once by callers that already hash it, e.g. the serve router); nil
-// derives the keys here. folds, when non-nil, carries each key's
-// FoldCanonical value (the serve router computes it once per packet
-// for shard routing and threads it through); nil folds here. Same
-// ownership contract as ProcessPacket.
+// each packet's decision into out (len(out) must be ≥ len(pkts)). It
+// is ProcessPacket in a loop: decisions, counters and digests are
+// byte-identical to calling ProcessPacket on each packet in order,
+// because both run the same walk. keys[i] is pkts[i]'s canonical flow
+// key and folds[i] its FoldCanonical value, both computed once by the
+// caller (features.CanonicalFoldOf; the serve producer needs them for
+// shard routing anyway), so the switch never hashes a key twice. keys
+// and folds must each hold at least len(pkts) entries. Same ownership
+// contract as ProcessPacket.
 //
 //iguard:hotpath
 func (sw *Switch) ProcessBatch(pkts []netpkt.Packet, keys []features.FlowKey, folds []uint32, out []Decision) {
-	n := len(pkts)
-	if n == 0 {
-		return
-	}
-	if len(sw.batchPLV) < n {
-		sw.growBatch(n)
-	}
-	havePL := sw.cfg.PLRules != nil
-	if havePL {
-		vals := sw.batchPL
-		for i := range pkts {
-			v := features.PLVectorInto(sw.plBuf[:], &pkts[i])
-			for f := 0; f < features.PLDim; f++ {
-				vals[f*n+i] = v[f]
-			}
-		}
-		q := sw.cfg.PLRules.Quantizer
-		codes := sw.batchCodes
-		for f := 0; f < features.PLDim; f++ {
-			q.EncodeColumnInto(codes[f*n:f*n+n], f, vals[f*n:f*n+n])
-		}
-		sw.cfg.PLRules.MatchColumns(sw.batchPLV[:n], codes, n, n, &sw.batchMatch)
-	}
 	for i := range pkts {
-		pre := -1
-		if havePL {
-			pre = sw.batchPLV[i]
-		}
-		var key features.FlowKey
-		var fold uint32
-		if keys != nil {
-			key = keys[i]
-			if folds != nil {
-				fold = folds[i]
-			} else {
-				fold = key.FoldCanonical()
-			}
-		} else {
-			key, fold = features.CanonicalFoldOf(&pkts[i])
-		}
-		out[i] = sw.processOne(&pkts[i], key, fold, pre)
+		out[i] = sw.processOne(&pkts[i], keys[i], folds[i])
 	}
-}
-
-// growBatch (re)sizes the batch scratch to n packets.
-//
-//iguard:coldpath amortised scratch growth on batch-size changes, not per packet
-func (sw *Switch) growBatch(n int) {
-	sw.batchPL = make([]float64, features.PLDim*n)
-	sw.batchCodes = make([]uint64, features.PLDim*n)
-	sw.batchPLV = make([]int, n)
-}
-
-// plVerdict returns the packet's PL whitelist verdict: the batch-
-// precomputed one when the caller has it (pre ≥ 0), else a fresh
-// per-packet match. The two are identical by construction — the batch
-// path quantises and matches the same vector through the same rule set.
-func (sw *Switch) plVerdict(p *netpkt.Packet, pre int) int {
-	if pre >= 0 {
-		return pre
-	}
-	return sw.classifyPL(p)
 }
 
 // processOne is the pipeline walk shared by ProcessPacket and
 // ProcessBatch: key is the packet's canonical flow key and fold its
-// FoldCanonical value (both computed once by the caller), prePL the
-// precomputed PL verdict or -1.
-func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32, prePL int) Decision {
+// FoldCanonical value, both computed once by the caller.
+func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32) Decision {
 	sw.Counters.Packets++
 	now := p.Timestamp
 	if sw.cfg.SweepInterval > 0 {
@@ -472,14 +395,14 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 	if resident != nil {
 		// Timeout of the resident flow itself (blue path, timeout arm).
 		if resident.label == -1 && resident.state.IdleFor(now, sw.cfg.Timeout) {
-			return sw.bluePath(resident, p, true, prePL)
+			return sw.bluePath(resident, p, true)
 		}
 		if resident.label >= 0 {
 			// Purple path: early decision from the flow label register.
 			// Label storage itself times out to keep slots reusable.
 			if now.Sub(resident.lastSeen) > sw.cfg.Timeout {
 				*resident = slot{}
-				return sw.admit(p, key, resident, now, prePL)
+				return sw.admit(p, key, resident, now)
 			}
 			resident.lastSeen = now
 			sw.Counters.PathCounts[PathPurple]++
@@ -493,11 +416,11 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 		resident.state.Add(p)
 		resident.lastSeen = now
 		if resident.state.Count >= sw.cfg.PktThreshold {
-			return sw.bluePath(resident, p, false, prePL)
+			return sw.bluePath(resident, p, false)
 		}
 		// Brown path: early packets, PL-only match.
 		sw.Counters.PathCounts[PathBrown]++
-		verdict := sw.plVerdict(p, prePL)
+		verdict := sw.classifyPL(p)
 		dropped := verdict == 1 && sw.cfg.DropMalicious
 		if dropped {
 			sw.Counters.Drops++
@@ -506,7 +429,7 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 	}
 
 	if free != nil {
-		return sw.admit(p, key, free, now, prePL)
+		return sw.admit(p, key, free, now)
 	}
 
 	// Orange path: both candidate slots occupied by other flows.
@@ -518,7 +441,7 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 			sw.emitDigest(v.key, verdict)
 			sw.Counters.Recirculated++
 			*v = slot{}
-			d := sw.admit(p, key, v, now, prePL)
+			d := sw.admit(p, key, v, now)
 			d.Path = PathOrange
 			d.Recirculated = true
 			return d
@@ -532,7 +455,7 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 			*v = slot{}
 			sw.Counters.Recirculated++
 			sw.Counters.PathCounts[PathGreen]++
-			d := sw.admit(p, key, v, now, prePL)
+			d := sw.admit(p, key, v, now)
 			d.Path = PathOrange
 			d.Recirculated = true
 			return d
@@ -541,7 +464,7 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 	// All victims still collecting (label -1): the incoming flow stays
 	// stateless; PL-only decision.
 	sw.Counters.HardCollisions++
-	verdict := sw.plVerdict(p, prePL)
+	verdict := sw.classifyPL(p)
 	dropped := verdict == 1 && sw.cfg.DropMalicious
 	if dropped {
 		sw.Counters.Drops++
@@ -555,9 +478,8 @@ func (s *slot) plVec() []float64 { return s.firstPL[:] }
 // admit initialises a slot with the packet's flow and runs the
 // brown-path PL match (or blue when n == 1). key is the packet's
 // canonical flow key, computed once by processOne's caller and
-// threaded through rather than re-derived per admission; prePL is the
-// batch-precomputed PL verdict or -1.
-func (sw *Switch) admit(p *netpkt.Packet, key features.FlowKey, s *slot, now time.Time, prePL int) Decision {
+// threaded through rather than re-derived per admission.
+func (sw *Switch) admit(p *netpkt.Packet, key features.FlowKey, s *slot, now time.Time) Decision {
 	s.valid = true
 	s.key = key
 	s.label = -1
@@ -566,10 +488,10 @@ func (sw *Switch) admit(p *netpkt.Packet, key features.FlowKey, s *slot, now tim
 	s.state.Add(p)
 	s.lastSeen = now
 	if s.state.Count >= sw.cfg.PktThreshold {
-		return sw.bluePath(s, p, false, prePL)
+		return sw.bluePath(s, p, false)
 	}
 	sw.Counters.PathCounts[PathBrown]++
-	verdict := sw.plVerdict(p, prePL)
+	verdict := sw.classifyPL(p)
 	dropped := verdict == 1 && sw.cfg.DropMalicious
 	if dropped {
 		sw.Counters.Drops++
@@ -581,7 +503,7 @@ func (sw *Switch) admit(p *netpkt.Packet, key features.FlowKey, s *slot, now tim
 // digest, clears the stateful storage, mirrors to the loopback port to
 // write the flow-label register (green path), and mirrors benign flows
 // to the CPU for whitelist updates.
-func (sw *Switch) bluePath(s *slot, p *netpkt.Packet, timedOut bool, prePL int) Decision {
+func (sw *Switch) bluePath(s *slot, p *netpkt.Packet, timedOut bool) Decision {
 	sw.Counters.PathCounts[PathBlue]++
 	verdict := sw.classifyFL(&s.state, s.plVec())
 	digest := sw.emitDigest(s.key, verdict)
@@ -598,7 +520,7 @@ func (sw *Switch) bluePath(s *slot, p *netpkt.Packet, timedOut bool, prePL int) 
 		// The packet that revealed the timeout was not part of the
 		// classified window; it gets its own PL-feature verdict and the
 		// flow starts accumulating again from this packet.
-		pktVerdict = sw.plVerdict(p, prePL)
+		pktVerdict = sw.classifyPL(p)
 		s.label = -1
 		s.state.Add(p)
 		features.PLVectorInto(s.firstPL[:], p)
