@@ -50,10 +50,11 @@ bench-batch:
 bench-mp:
 	go test -bench 'BenchmarkServeThroughputMP' -benchmem -cpu 1,4 -run '^$$' ./internal/serve
 
-# Whitelist matcher microbenchmarks: bit-vector index vs the linear
-# reference scan at 16/128/1024 rules, plus compile cost.
+# Whitelist microbenchmarks: bit-vector index vs the linear reference
+# scan at 16/128/1024 rules, compile cost, and the adjacent-cell merge
+# of rule generation on a 13-dimension grid of about 2.4k cells.
 bench-rules:
-	go test -bench 'BenchmarkMatch|BenchmarkCompile' -benchmem -run '^$$' ./internal/rules
+	go test -bench 'BenchmarkMatch|BenchmarkCompile|BenchmarkMergeAdjacent' -benchmem -run '^$$' ./internal/rules
 
 # Blacklist-plane churn: one malicious digest of a new flow per op
 # through an LRU controller at capacity 8192 and a real switch (one

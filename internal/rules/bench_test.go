@@ -90,3 +90,21 @@ func BenchmarkCompile(b *testing.B) {
 		})
 	}
 }
+
+var mergeSink []Rule
+
+// BenchmarkMergeAdjacent times the adjacent-cell merge, the bulk of
+// rule-set generation, on a seeded 13-dimension grid of about 2.4k
+// cells (mergeTestRules), the size of the largest merge in training
+// the repo benchmark's model. Each op merges a fresh copy of the input.
+func BenchmarkMergeAdjacent(b *testing.B) {
+	in := mergeTestRules(mathx.NewRand(13), 13, 2300)
+	buf := make([]Rule, len(in))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, in)
+		mergeSink = MergeAdjacent(buf)
+	}
+	b.ReportMetric(float64(len(in)), "cells")
+}

@@ -1,8 +1,10 @@
 package rules
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // GenOptions controls hypercube enumeration.
@@ -11,16 +13,12 @@ type GenOptions struct {
 	// returns an error beyond it so callers can shrink the forest or
 	// coarsen features rather than silently truncating coverage.
 	MaxCells int
-	// MergePasses bounds the adjacent-cell merge iterations; 0 means
-	// merge to a fixed point.
-	MergePasses int
 	// SkipMerge disables the adjacent-cell merge entirely (for the
 	// merging ablation; deployments always merge).
 	SkipMerge bool
 }
 
-// DefaultGenOptions returns generous defaults (64k cells, merge to
-// fixed point).
+// DefaultGenOptions returns generous defaults (64k cells, merging on).
 func DefaultGenOptions() GenOptions {
 	return GenOptions{MaxCells: 65536}
 }
@@ -80,7 +78,7 @@ func Generate(universe Box, perTreeLeaves [][]Box, classify func([]float64) int,
 	}
 
 	if !opts.SkipMerge {
-		ruleList = MergeAdjacent(ruleList, opts.MergePasses)
+		ruleList = MergeAdjacent(ruleList)
 	}
 	return &RuleSet{Rules: ruleList, Dim: len(universe), DefaultLabel: 1}, nil
 }
@@ -144,44 +142,54 @@ func GenerateVoted(universe Box, perTreeLeaves [][]Box, perTreeLabels [][]int, o
 		return nil, overflow
 	}
 	if !opts.SkipMerge {
-		ruleList = MergeAdjacent(ruleList, opts.MergePasses)
+		ruleList = MergeAdjacent(ruleList)
 	}
 	return &RuleSet{Rules: ruleList, Dim: len(universe), DefaultLabel: 1}, nil
 }
 
 // MergeAdjacent greedily merges rules whose boxes are adjacent along one
-// dimension and share a label, repeating until a fixed point (or
-// maxPasses when positive). This is the purple-box step of Fig. 3c.
-func MergeAdjacent(ruleList []Rule, maxPasses int) []Rule {
-	pass := 0
+// dimension and share a label, repeating until a fixed point. This is
+// the purple-box step of Fig. 3c.
+//
+// For each dimension d, one index sort groups the rules by label and by
+// the bit patterns of every other dimension's bounds; only rules in one
+// group can be adjacent along d. Each group is walked in ascending rule
+// index. A merge rewrites dimension d only, which the key leaves out,
+// so groups are independent and their order cannot change the result
+// (DESIGN.md §2). The key compares bits, not float values: -0 and +0
+// must stay in different groups, or adjacentAlong's == would merge
+// cells whose bounds differ in the sign of zero.
+func MergeAdjacent(ruleList []Rule) []Rule {
+	dims := dimOf(ruleList)
+	order := make([]int, len(ruleList))
+	dead := make([]bool, len(ruleList))
 	for {
-		pass++
 		merged := false
-		for d := 0; d < dimOf(ruleList); d++ {
-			// Bucket rules by their box signature excluding dimension d
-			// so adjacency checks are near-linear. Buckets are visited in
-			// sorted order to keep the merge (and thus the exact box
-			// decomposition) deterministic.
-			buckets := map[string][]int{}
-			for i, r := range ruleList {
-				sig := signatureExcluding(r.Box, d, r.Label)
-				buckets[sig] = append(buckets[sig], i)
+		for d := 0; d < dims; d++ {
+			n := len(ruleList)
+			order, dead = order[:n], dead[:n]
+			for i := range order {
+				order[i] = i
+				dead[i] = false
 			}
-			sigs := make([]string, 0, len(buckets))
-			for sig := range buckets { //iguard:sorted signatures are collected then sorted below
-				sigs = append(sigs, sig)
-			}
-			sort.Strings(sigs)
-			dead := make([]bool, len(ruleList))
-			for _, sig := range sigs {
-				idxs := buckets[sig]
-				for a := 0; a < len(idxs); a++ {
-					i := idxs[a]
+			slices.SortFunc(order, func(i, j int) int {
+				if c := cmpMergeKey(&ruleList[i], &ruleList[j], d); c != 0 {
+					return c
+				}
+				return cmp.Compare(i, j)
+			})
+			for lo := 0; lo < n; {
+				hi := lo + 1
+				for hi < n && cmpMergeKey(&ruleList[order[lo]], &ruleList[order[hi]], d) == 0 {
+					hi++
+				}
+				group := order[lo:hi]
+				lo = hi
+				for a, i := range group {
 					if dead[i] {
 						continue
 					}
-					for b := a + 1; b < len(idxs); b++ {
-						j := idxs[b]
+					for _, j := range group[a+1:] {
 						if dead[j] {
 							continue
 						}
@@ -201,7 +209,7 @@ func MergeAdjacent(ruleList []Rule, maxPasses int) []Rule {
 			}
 			ruleList = compact
 		}
-		if !merged || (maxPasses > 0 && pass >= maxPasses) {
+		if !merged {
 			return ruleList
 		}
 	}
@@ -214,16 +222,22 @@ func dimOf(ruleList []Rule) int {
 	return len(ruleList[0].Box)
 }
 
-// signatureExcluding builds a bucketing key from every dimension except
-// d, plus the label, so only merge-compatible rules collide.
-func signatureExcluding(b Box, d, label int) string {
-	// A compact binary-ish key; fmt is fine at rule-set scales.
-	key := fmt.Sprintf("L%d|", label)
-	for i, iv := range b {
-		if i == d {
+// cmpMergeKey orders two rules by their merge key excluding dimension
+// d: label, then each other dimension's Lo and Hi bit patterns.
+func cmpMergeKey(a, b *Rule, d int) int {
+	if c := cmp.Compare(a.Label, b.Label); c != 0 {
+		return c
+	}
+	for k := range a.Box {
+		if k == d {
 			continue
 		}
-		key += fmt.Sprintf("%d:%g,%g|", i, iv.Lo, iv.Hi)
+		if c := cmp.Compare(math.Float64bits(a.Box[k].Lo), math.Float64bits(b.Box[k].Lo)); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(math.Float64bits(a.Box[k].Hi), math.Float64bits(b.Box[k].Hi)); c != 0 {
+			return c
+		}
 	}
-	return key
+	return 0
 }

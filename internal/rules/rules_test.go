@@ -287,7 +287,7 @@ func TestMergeAdjacentChain(t *testing.T) {
 		{Box: NewBox([]float64{1}, []float64{2}), Label: 0},
 		{Box: NewBox([]float64{2}, []float64{3}), Label: 0},
 	}
-	out := MergeAdjacent(ruleList, 0)
+	out := MergeAdjacent(ruleList)
 	if len(out) != 1 {
 		t.Fatalf("merged = %d rules, want 1", len(out))
 	}
@@ -301,7 +301,7 @@ func TestMergeAdjacentRespectsLabels(t *testing.T) {
 		{Box: NewBox([]float64{0}, []float64{1}), Label: 0},
 		{Box: NewBox([]float64{1}, []float64{2}), Label: 1},
 	}
-	out := MergeAdjacent(ruleList, 0)
+	out := MergeAdjacent(ruleList)
 	if len(out) != 2 {
 		t.Errorf("different labels merged: %d rules", len(out))
 	}
@@ -312,7 +312,7 @@ func TestMergeAdjacentNonAdjacent(t *testing.T) {
 		{Box: NewBox([]float64{0}, []float64{1}), Label: 0},
 		{Box: NewBox([]float64{5}, []float64{6}), Label: 0},
 	}
-	out := MergeAdjacent(ruleList, 0)
+	out := MergeAdjacent(ruleList)
 	if len(out) != 2 {
 		t.Errorf("non-adjacent rules merged: %d rules", len(out))
 	}
@@ -326,7 +326,7 @@ func TestMergeAdjacent2D(t *testing.T) {
 			ruleList = append(ruleList, Rule{Box: NewBox([]float64{x, y}, []float64{x + 1, y + 1}), Label: 0})
 		}
 	}
-	out := MergeAdjacent(ruleList, 0)
+	out := MergeAdjacent(ruleList)
 	if len(out) != 1 {
 		t.Errorf("2x2 merge = %d rules, want 1", len(out))
 	}

@@ -54,8 +54,21 @@ func batchTestSwitch(sink DigestSink) *Switch {
 		PLRules:       plRulesAllowPort(),
 		DropMalicious: true,
 		Sink:          sink,
-		SweepInterval: 100 * time.Millisecond,
 	})
+}
+
+// sweepPoints marks the packets a timeout sweep runs before, on serve's
+// SweepEvery cadence: the clock starts at the first packet, and a sweep
+// at trace[i]'s instant precedes trace[i] once the trace has advanced
+// by every since the last sweep.
+func sweepPoints(trace []netpkt.Packet, every time.Duration) []bool {
+	due := make([]bool, len(trace))
+	for i, last := 1, 0; i < len(trace); i++ {
+		if trace[i].Timestamp.Sub(trace[last].Timestamp) >= every {
+			due[i], last = true, i
+		}
+	}
+	return due
 }
 
 // keysAndFolds derives each packet's canonical flow key and fold the
@@ -80,8 +93,12 @@ func TestProcessBatchMatchesProcessPacket(t *testing.T) {
 
 	var refSink digestRecorder
 	ref := batchTestSwitch(&refSink)
+	due := sweepPoints(trace, 100*time.Millisecond)
 	want := make([]Decision, len(trace))
 	for i := range trace {
+		if due[i] {
+			ref.SweepTimeouts(trace[i].Timestamp)
+		}
 		want[i] = ref.ProcessPacket(&trace[i])
 	}
 	if ref.Counters.PathCounts[PathOrange] == 0 || ref.Counters.Sweeps == 0 {
@@ -94,12 +111,18 @@ func TestProcessBatchMatchesProcessPacket(t *testing.T) {
 			var sink digestRecorder
 			sw := batchTestSwitch(&sink)
 			got := make([]Decision, len(trace))
-			for off := 0; off < len(trace); off += batch {
-				end := off + batch
-				if end > len(trace) {
-					end = len(trace)
+			// A sweep point ends the batch before it, as a serve tick
+			// flushes a lane's pending batch.
+			for off := 0; off < len(trace); {
+				if due[off] {
+					sw.SweepTimeouts(trace[off].Timestamp)
+				}
+				end := off + 1
+				for end < len(trace) && end-off < batch && !due[end] {
+					end++
 				}
 				sw.ProcessBatch(trace[off:end], keys[off:end], folds[off:end], got[off:end])
+				off = end
 			}
 			for i := range want {
 				if got[i] != want[i] {
@@ -183,7 +206,9 @@ func TestProcessBatchAllocationFree(t *testing.T) {
 // no per-batch scratch: a batch larger than any the switch has seen
 // must not allocate either. Each measured call is one packet longer
 // than the last, over a trace that takes the PL-matched paths (brown,
-// orange and blue with a PL whitelist installed).
+// orange and blue with a PL whitelist installed), and each is preceded
+// by a timeout sweep at its first packet's instant, as serve's ticks
+// interleave with batches.
 func TestProcessBatchGrowthAllocationFree(t *testing.T) {
 	sw := batchTestSwitch(nil)
 	trace := mixedTrace(2000)
@@ -194,12 +219,13 @@ func TestProcessBatchGrowthAllocationFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(40, func() {
 		size++
 		end := off + size
+		sw.SweepTimeouts(trace[off].Timestamp)
 		sw.ProcessBatch(trace[off:end], keys[off:end], folds[off:end], out[off:end])
 		off = end
 	}); allocs != 0 {
 		t.Errorf("ProcessBatch allocs/op on growing batches = %v, want 0", allocs)
 	}
-	if sw.Counters.PathCounts[PathBrown] == 0 || sw.Counters.PathCounts[PathOrange] == 0 {
-		t.Fatalf("trace missed the PL-matched paths (counters %+v); the assertion is vacuous", sw.Counters)
+	if sw.Counters.PathCounts[PathBrown] == 0 || sw.Counters.PathCounts[PathOrange] == 0 || sw.Counters.SweepReleases == 0 {
+		t.Fatalf("trace missed the PL-matched paths or sweep releases (counters %+v); the assertion is vacuous", sw.Counters)
 	}
 }

@@ -102,12 +102,6 @@ type Config struct {
 	DropMalicious bool
 	// Sink receives digests (the control plane); may be nil.
 	Sink DigestSink
-	// SweepInterval, when positive, runs a control-plane-style timeout sweep
-	// over the flow tables every interval of trace time: idle
-	// unclassified flows are classified-and-digested, idle labels are
-	// reclaimed. Zero disables the sweep (timeouts then fire only when a
-	// packet touches the slot, as in the minimal design).
-	SweepInterval time.Duration
 }
 
 // withDefaults fills zero fields.
@@ -190,7 +184,6 @@ type Switch struct {
 	tables    [2][]slot
 	seeds     [2]uint32
 	blacklist features.KeyIndex
-	lastSweep time.Time
 	Counters  Counters
 
 	// flBuf is the FL-vector scratch the classify paths materialise
@@ -372,14 +365,6 @@ func (sw *Switch) ProcessBatch(pkts []netpkt.Packet, keys []features.FlowKey, fo
 func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32) Decision {
 	sw.Counters.Packets++
 	now := p.Timestamp
-	if sw.cfg.SweepInterval > 0 {
-		if sw.lastSweep.IsZero() {
-			sw.lastSweep = now
-		} else if now.Sub(sw.lastSweep) >= sw.cfg.SweepInterval {
-			sw.SweepTimeouts(now)
-			sw.lastSweep = now
-		}
-	}
 	// Red path: blacklist match, probed with the fold the packet
 	// already carries.
 	if _, hit := sw.blacklist.Get(key, fold); hit {

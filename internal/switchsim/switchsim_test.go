@@ -418,11 +418,10 @@ func TestCountersAccumulate(t *testing.T) {
 
 func TestSweepTimeoutsClassifiesIdleFlows(t *testing.T) {
 	sw := New(Config{
-		Slots:         64,
-		PktThreshold:  100,
-		Timeout:       50 * time.Millisecond,
-		FLRules:       flRulesAllowSmall(),
-		SweepInterval: 100 * time.Millisecond,
+		Slots:        64,
+		PktThreshold: 100,
+		Timeout:      50 * time.Millisecond,
+		FLRules:      flRulesAllowSmall(),
 	})
 	// Two packets of one flow, then silence.
 	p1 := mkPkt(50, 5000, 100, 0)
@@ -445,24 +444,28 @@ func TestSweepTimeoutsClassifiesIdleFlows(t *testing.T) {
 	}
 }
 
-func TestSweepRunsAutomaticallyOnInterval(t *testing.T) {
+// TestSweepBeforeLaterPacketClassifiesIdleFlow drives a sweep the way
+// serve's SweepEvery tick does: at a later packet's instant, just
+// before that packet. The idle flow is digested by the sweep, and the
+// later packet then starts its own flow.
+func TestSweepBeforeLaterPacketClassifiesIdleFlow(t *testing.T) {
 	sw := New(Config{
-		Slots:         64,
-		PktThreshold:  100,
-		Timeout:       20 * time.Millisecond,
-		FLRules:       flRulesAllowSmall(),
-		SweepInterval: 50 * time.Millisecond,
+		Slots:        64,
+		PktThreshold: 100,
+		Timeout:      20 * time.Millisecond,
+		FLRules:      flRulesAllowSmall(),
 	})
 	p1 := mkPkt(51, 5100, 100, 0)
 	sw.ProcessPacket(&p1)
-	// An unrelated packet 1s later triggers the automatic sweep.
 	p2 := mkPkt(52, 5200, 100, time.Second)
-	sw.ProcessPacket(&p2)
-	if sw.Counters.Sweeps == 0 {
-		t.Error("no automatic sweep fired")
+	sw.SweepTimeouts(p2.Timestamp)
+	if sw.Counters.Sweeps != 1 || sw.Counters.Digests != 1 || sw.Counters.SweepReleases != 1 {
+		t.Errorf("after sweep: sweeps %d digests %d releases %d, want 1 each",
+			sw.Counters.Sweeps, sw.Counters.Digests, sw.Counters.SweepReleases)
 	}
-	if sw.Counters.Digests == 0 {
-		t.Error("sweep did not classify the idle flow")
+	sw.ProcessPacket(&p2)
+	if sw.ActiveFlows() != 1 {
+		t.Errorf("active = %d after the later packet, want 1", sw.ActiveFlows())
 	}
 }
 
