@@ -1,6 +1,6 @@
 # Convenience targets for the iGuard reproduction.
 
-.PHONY: build test bench bench-e2e bench-diff bench-parallel bench-serve bench-batch bench-mp bench-rules bench-ctrl eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed p4lint
+.PHONY: build test bench bench-e2e bench-diff bench-parallel bench-serve bench-batch bench-mp bench-rules bench-ctrl bench-decode eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed p4lint
 
 build:
 	go build ./...
@@ -61,6 +61,12 @@ bench-rules:
 # install plus one eviction each), with allocs per op.
 bench-ctrl:
 	go test -bench 'BenchmarkControllerChurn' -benchmem -run '^$$' ./internal/controller
+
+# Pcap decode: PcapReader.NextValidBatch over an in-memory capture of
+# header-only frames and of frames with a 256 B payload, with ns and
+# allocations per decoded packet.
+bench-decode:
+	go test -bench 'BenchmarkPcapDecode' -benchmem -run '^$$' ./internal/netpkt
 
 # Full-size evaluation (several minutes).
 eval:

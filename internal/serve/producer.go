@@ -28,17 +28,22 @@ type Producer struct {
 	s    *Server
 	lane uint32
 
-	// nextSeq is the lane-owned sequence counter; ingested mirrors it
-	// (one atomic store per packet instead of a load + RMW pair) so
-	// Stats can read each lane's count from outside its goroutine.
+	// nextSeq is the lane-owned sequence counter; ingested publishes it
+	// so Stats can read each lane's count from outside its goroutine.
+	// It is stored just before every hand-off (flushShard) and at the
+	// end of every ingest call (endCall), not per packet: a shard can
+	// only count a packet after its hand-off, so Stats never sees
+	// Packets + QueueDrops above Ingested.
 	nextSeq  uint64
 	ingested atomic.Uint64
 
 	// Lane-owned trace-clock anchors, unix-nano. lastSeen is the
 	// newest capture timestamp this lane has observed (zero until the
-	// lane's first packet); lastFlush anchors the lane's BatchFlush
-	// deadline, checked once per ingest call (flushIfDue). Both are
-	// plain fields: only the lane's goroutine touches them.
+	// lane's first packet); it reaches the shared trace clock once per
+	// ingest call and at each tick the lane broadcasts. lastFlush
+	// anchors the lane's BatchFlush deadline, checked once per ingest
+	// call (flushIfDue). Both are plain fields: only the lane's
+	// goroutine touches them.
 	lastSeen  int64
 	lastFlush int64
 
@@ -86,7 +91,7 @@ func (p *Producer) IngestBatch(pkts []netpkt.Packet) (accepted, dropped uint64, 
 		key, fold := features.CanonicalFoldOf(&pkts[i])
 		p.enqueue(&pkts[i], key, fold)
 	}
-	p.flushIfDue()
+	p.endCall()
 	return uint64(len(pkts)), 0, nil
 }
 
@@ -102,11 +107,23 @@ func (p *Producer) ingestDecoded(pkts []netpkt.Packet, keys []features.FlowKey, 
 	for i := range pkts {
 		p.enqueue(&pkts[i], keys[i], folds[i])
 	}
-	p.flushIfDue()
+	p.endCall()
 	return nil
 }
 
-// enqueue advances the trace clock to the packet, copies it into the
+// endCall is an ingest call's lane bookkeeping, done once per call
+// rather than per packet: it publishes the lane's count and moves the
+// shared trace clock to the lane's newest timestamp, then checks the
+// BatchFlush deadline. Lane goroutine only.
+//
+//iguard:hotpath
+func (p *Producer) endCall() {
+	p.ingested.Store(p.nextSeq)
+	p.s.advanceTrace(p.lastSeen)
+	p.flushIfDue()
+}
+
+// enqueue advances the lane's clock to the packet, copies it into the
 // lane's pending batch for its shard, and hands the batch off when it
 // fills. Lane goroutine only.
 //
@@ -122,7 +139,6 @@ func (p *Producer) enqueue(pkt *netpkt.Packet, key features.FlowKey, fold uint32
 	b.seqs[b.n] = p.nextSeq
 	b.n++
 	p.nextSeq++
-	p.ingested.Store(p.nextSeq)
 	if b.n == len(b.pkts) {
 		p.flushShard(shard)
 	}
@@ -132,7 +148,9 @@ func (p *Producer) enqueue(pkt *netpkt.Packet, key features.FlowKey, fold uint32
 // worker as one mailbox operation and moves the ring on to the next
 // buffer. Under the Drop policy a full mailbox sheds the whole batch,
 // leaving its sequence numbers as gaps in the lane's sequence space.
-// Lane goroutine only.
+// The lane's count is published first, so whatever the shard or the
+// drop counter then records is already in Ingested. Lane goroutine
+// only.
 //
 //iguard:hotpath
 func (p *Producer) flushShard(shard int) {
@@ -141,6 +159,7 @@ func (p *Producer) flushShard(shard int) {
 	if b.n == 0 {
 		return
 	}
+	p.ingested.Store(p.nextSeq)
 	s := p.s
 	w := s.shards[shard]
 	m := shardMsg{kind: msgBatch, batch: b}
@@ -203,10 +222,11 @@ func (p *Producer) Flush() error {
 	return nil
 }
 
-// observe advances the trace clock and broadcasts sweep ticks when the
-// shared tick election says this lane crossed the SweepEvery cadence
-// first. It runs per packet; the BatchFlush deadline does not (see
-// flushIfDue). Lane goroutine only.
+// observe advances the lane's clock and broadcasts sweep ticks when
+// the shared tick election says this lane crossed the SweepEvery
+// cadence first. It runs per packet; the BatchFlush deadline and the
+// shared trace clock do not (see endCall), except that a tick moves
+// the shared clock to the tick. Lane goroutine only.
 //
 //iguard:hotpath
 func (p *Producer) observe(ts time.Time) {
@@ -214,13 +234,10 @@ func (p *Producer) observe(ts time.Time) {
 	ns := ts.UnixNano()
 	if p.lastSeen == 0 {
 		// Lane's first packet: seed the shared clocks (first lane's
-		// CAS wins; later lanes just advance the running clock) and
-		// the lane-local anchors.
+		// CAS wins; endCall advances the running clock) and the
+		// lane-local anchors.
 		if s.traceStart.CompareAndSwap(0, ns) {
-			s.traceNow.CompareAndSwap(0, ns)
 			s.lastTickNS.CompareAndSwap(0, ns)
-		} else {
-			s.advanceTrace(ns)
 		}
 		p.lastSeen = ns
 		p.lastFlush = ns
@@ -230,7 +247,6 @@ func (p *Producer) observe(ts time.Time) {
 		return
 	}
 	p.lastSeen = ns
-	s.advanceTrace(ns)
 	if s.cfg.SweepEvery <= 0 {
 		return
 	}
@@ -245,6 +261,7 @@ func (p *Producer) observe(ts time.Time) {
 		return
 	}
 	s.ticks.Add(1)
+	s.advanceTrace(ns)
 	now := time.Unix(0, ns).UTC()
 	// This lane's pending batches go first so every shard sees the
 	// lane's packets in lane order relative to the tick. Other lanes'

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -408,6 +409,88 @@ func TestStatsLaneAggregation(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStatsLaneIngestedCoversShards polls Stats from a second
+// goroutine while one lane ingests, under Block and under Drop, and
+// checks that no snapshot counts more packets processed or shed than
+// the lanes had ingested. The lane publishes its count before every
+// hand-off, shed ones included, rather than per packet, so Packets +
+// QueueDrops must never run ahead of Ingested. Under -race it is also
+// the race probe for that per-call bookkeeping.
+func TestStatsLaneIngestedCoversShards(t *testing.T) {
+	trace := mixedTrace(t)
+	for _, policy := range []DropPolicy{Block, Drop} {
+		t.Run(policy.String(), func(t *testing.T) {
+			srv, err := New(Config{
+				Shards:     2,
+				QueueDepth: 8, // small: Drop sheds, Block waits
+				BatchSize:  4,
+				Policy:     policy,
+				NewShard:   testShardFactory(smallFlowsFL(700), 8, time.Hour),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The lane ingests the trace round after round until the
+			// poller has taken enough snapshots to interleave with
+			// many hand-offs.
+			const minPolls, maxRounds = 300, 400
+			var polls atomic.Int64
+			stop := make(chan struct{})
+			bad := make(chan Stats, 1)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					st := srv.Stats()
+					polls.Add(1)
+					if uint64(st.Packets)+st.QueueDrops > st.Ingested {
+						bad <- st
+						return
+					}
+				}
+			}()
+			// Long calls keep the lane inside IngestBatch, between its
+			// per-call stores, for most of each snapshot.
+			const call = 1024
+			lane := srv.Producer(0)
+			rounds := 0
+			for ; rounds < maxRounds && polls.Load() < minPolls; rounds++ {
+				for off := 0; off < len(trace.Packets); off += call {
+					if _, _, err := lane.IngestBatch(trace.Packets[off:min(off+call, len(trace.Packets))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := lane.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			close(stop)
+			<-done
+			select {
+			case st := <-bad:
+				t.Fatalf("processed %d + dropped %d > ingested %d",
+					st.Packets, st.QueueDrops, st.Ingested)
+			default:
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := srv.Stats()
+			if want := uint64(rounds * len(trace.Packets)); st.Ingested != want ||
+				uint64(st.Packets)+st.QueueDrops != want {
+				t.Fatalf("drained: processed %d + dropped %d, ingested %d; want %d",
+					st.Packets, st.QueueDrops, st.Ingested, want)
+			}
+			t.Logf("%d rounds, %d polls, %d of %d shed", rounds, polls.Load(), st.QueueDrops, st.Ingested)
+		})
 	}
 }
 

@@ -756,10 +756,12 @@ func (s *Server) Close() error {
 // the snapshot reflects that shard's state at its current queue
 // position); on a closed server the final drained snapshots are
 // served. Packets still pending in producer-owned batch buffers are
-// counted as ingested but not yet as processed — they flush on their
-// lanes' own cadence, not here (Stats cannot touch another
-// goroutine's lane). Supervisor goroutine only; safe concurrently
-// with producers.
+// counted as ingested, once the ingest call that took them has
+// returned, but not yet as processed — they flush on their lanes' own
+// cadence, not here (Stats cannot touch another goroutine's lane). A
+// lane publishes its count before each hand-off, so Packets +
+// QueueDrops never exceeds Ingested. Supervisor goroutine only; safe
+// concurrently with producers.
 func (s *Server) Stats() Stats {
 	per := make([]ShardStats, len(s.shards))
 	if s.drained.Load() {

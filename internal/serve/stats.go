@@ -45,7 +45,9 @@ type Stats struct {
 	// counts the accepted packets the Drop policy then shed at
 	// hand-off. Packets counts what the shards have actually processed:
 	// Packets + QueueDrops == Ingested once the server has drained, and
-	// less while queues or producer-side pending batches hold backlog. Batches counts batch hand-offs across shards;
+	// less while queues or producer-side pending batches hold backlog
+	// (a lane publishes its count before each hand-off and at the end
+	// of each ingest call, so it is never more). Batches counts batch hand-offs across shards;
 	// Packets/Batches is the realised mean batch size.
 	Ingested   uint64
 	QueueDrops uint64
@@ -76,7 +78,9 @@ type Stats struct {
 	Ticks  uint64
 	Swaps  int
 
-	// TraceElapsed spans the capture timestamps observed so far.
+	// TraceElapsed spans the capture timestamps observed so far: the
+	// lanes publish their newest timestamp at the end of each ingest
+	// call and at each sweep tick they broadcast.
 	// WallElapsed spans real time since New when Config.Now was
 	// provided, else zero.
 	TraceElapsed time.Duration
