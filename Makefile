@@ -1,6 +1,6 @@
 # Convenience targets for the iGuard reproduction.
 
-.PHONY: build test bench bench-e2e bench-diff bench-parallel bench-serve bench-batch bench-mp bench-rules bench-ctrl bench-decode eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed p4lint
+.PHONY: build test bench bench-e2e bench-diff bench-parallel bench-serve bench-batch bench-mp bench-rules bench-ctrl bench-decode eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed fuzz-rules p4lint
 
 build:
 	go build ./...
@@ -51,8 +51,10 @@ bench-mp:
 	go test -bench 'BenchmarkServeThroughputMP' -benchmem -cpu 1,4 -run '^$$' ./internal/serve
 
 # Whitelist microbenchmarks: bit-vector index vs the linear reference
-# scan at 16/128/1024 rules, compile cost, and the adjacent-cell merge
-# of rule generation on a 13-dimension grid of about 2.4k cells.
+# scan at 16/128/1024 rules; the float match and compile cost at 12
+# bits (direct code tables) and 20 bits (float thresholds, the library
+# default width); and the adjacent-cell merge of rule generation on a
+# 13-dimension grid of about 2.4k cells.
 bench-rules:
 	go test -bench 'BenchmarkMatch|BenchmarkCompile|BenchmarkMergeAdjacent' -benchmem -run '^$$' ./internal/rules
 
@@ -147,3 +149,8 @@ race-fed:
 # type), and stream-reader agreement with the in-place decoder.
 fuzz-fed:
 	go test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime=10s ./internal/fed
+
+# Float-matcher fuzz smoke: Match on raw values against MatchCodes on
+# the quantised vector, at widths 4-24 and fuzzed quantiser ranges.
+fuzz-rules:
+	go test -run '^$$' -fuzz '^FuzzMatchFloat$$' -fuzztime=10s ./internal/rules

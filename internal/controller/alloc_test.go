@@ -92,8 +92,8 @@ func TestOnDigestAllocationFree(t *testing.T) {
 
 // BenchmarkControllerChurn measures the blacklist plane at capacity:
 // each op is one malicious digest of a new flow through an LRU
-// controller and a real switch, so it clears the flow's storage,
-// installs one rule and evicts one (make bench-ctrl).
+// controller and a real switch, so it installs one rule and evicts
+// one (make bench-ctrl).
 func BenchmarkControllerChurn(b *testing.B) {
 	c, _, keys := fullPlane(b, 8192, LRU)
 	i := 0

@@ -1,8 +1,15 @@
 // Package controller implements iGuard's control plane: it consumes
 // flow-class digests from the data plane, installs blacklist rules for
-// malicious flows, clears the flow's stateful storage, and evicts old
-// blacklist entries under FIFO or LRU policy when the table fills
-// (Fig. 1 steps 10a/10b and §3.3.2 "Controller").
+// malicious flows, and evicts old blacklist entries under FIFO or LRU
+// policy when the table fills (Fig. 1 steps 10a/10b and §3.3.2
+// "Controller").
+//
+// The flow's stateful storage is not the controller's to clear: the
+// data plane zeroes it in line on the blue path, right after it emits
+// the digest (Fig. 4), so a digest needs no data-plane call unless it
+// installs or evicts a blacklist entry. Stats.StorageCleared still
+// counts one clear per digest received — the clear the digest stands
+// for.
 package controller
 
 import (
@@ -35,7 +42,6 @@ func (p EvictionPolicy) String() string {
 type Switch interface {
 	InstallBlacklist(key features.FlowKey) bool
 	RemoveBlacklist(key features.FlowKey)
-	ClearFlow(key features.FlowKey)
 }
 
 // Stats counts controller activity.
@@ -45,7 +51,9 @@ type Stats struct {
 	RulesInstalled  int
 	RulesEvicted    int
 	RulesRemoved    int
-	StorageCleared  int
+	// StorageCleared counts one flow-storage clear per digest; the data
+	// plane does the clear itself when it emits the digest.
+	StorageCleared int
 }
 
 // Op classifies an observed blacklist transition.
@@ -91,7 +99,7 @@ type Event struct {
 // their bookkeeping, and methods with the *Locked suffix require it
 // held. sw, capacity, and policy are set by New and never written
 // afterwards, so they may be read without the lock. Data-plane calls
-// (ClearFlow, InstallBlacklist, RemoveBlacklist) are never made while
+// (InstallBlacklist, RemoveBlacklist) are never made while
 // mu is held: they dispatch through the Switch interface to an
 // implementation whose latency the controller cannot bound, and
 // holding mu across them would stall every other digest pipeline.
@@ -162,10 +170,11 @@ func (c *Controller) SetObserver(fn func(Event)) {
 	c.obs = fn
 }
 
-// OnDigest implements switchsim.DigestSink: it clears the flow's
-// stateful storage and, for malicious flows, installs a blacklist rule,
-// evicting the oldest (FIFO) or least-recently-confirmed (LRU) entry
-// when full.
+// OnDigest implements switchsim.DigestSink: it counts the digest (and
+// the storage clear the data plane did with it) and, for malicious
+// flows, installs a blacklist rule, evicting the oldest (FIFO) or
+// least-recently-confirmed (LRU) entry when full. A benign digest, or a
+// malicious one for a key already installed, makes no data-plane call.
 func (c *Controller) OnDigest(d switchsim.Digest) {
 	key := d.Key.Canonical()
 
@@ -184,7 +193,6 @@ func (c *Controller) OnDigest(d switchsim.Digest) {
 	obs := c.obs
 	c.mu.Unlock()
 
-	c.sw.ClearFlow(d.Key)
 	if evicted {
 		c.sw.RemoveBlacklist(victim)
 	}
@@ -205,7 +213,7 @@ func (c *Controller) OnDigest(d switchsim.Digest) {
 // federation apply path: a rule another switch's controller installed
 // and the hub propagated here. The bookkeeping is identical to a
 // malicious digest (capacity evictions included, and LRU treats a
-// re-install as a recency refresh) minus the flow-storage clear, and
+// re-install as a recency refresh) minus the digest counters, and
 // the observer is deliberately not told about the install itself (see
 // SetObserver) though any eviction it forces does fire OpEvict.
 // Returns whether the entry was newly installed.

@@ -12,7 +12,6 @@ import (
 type fakeSwitch struct {
 	mu        sync.Mutex
 	installed map[features.FlowKey]bool
-	cleared   int
 }
 
 func newFakeSwitch() *fakeSwitch {
@@ -32,12 +31,6 @@ func (f *fakeSwitch) RemoveBlacklist(key features.FlowKey) {
 	delete(f.installed, key.Canonical())
 }
 
-func (f *fakeSwitch) ClearFlow(features.FlowKey) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.cleared++
-}
-
 func key(n byte) features.FlowKey {
 	return features.FlowKey{SrcIP: [4]byte{10, 0, 0, n}, DstIP: [4]byte{23, 1, 0, 1}, SrcPort: 1000, DstPort: 443, Proto: 6}
 }
@@ -48,9 +41,6 @@ func TestMaliciousDigestInstallsRule(t *testing.T) {
 	c.OnDigest(switchsim.Digest{Key: key(1), Label: 1})
 	if !fs.installed[key(1).Canonical()] {
 		t.Error("blacklist rule not installed")
-	}
-	if fs.cleared != 1 {
-		t.Errorf("storage cleared %d times", fs.cleared)
 	}
 	s := c.Stats()
 	if s.DigestsReceived != 1 || s.RulesInstalled != 1 || s.StorageCleared != 1 {
@@ -68,8 +58,10 @@ func TestBenignDigestOnlyClears(t *testing.T) {
 	if len(fs.installed) != 0 {
 		t.Error("benign digest installed a rule")
 	}
-	if fs.cleared != 1 {
-		t.Errorf("cleared = %d", fs.cleared)
+	// The data plane clears the flow's storage itself; the controller
+	// only counts the clear.
+	if s := c.Stats(); s.StorageCleared != 1 || s.DigestsReceived != 1 {
+		t.Errorf("stats = %+v", s)
 	}
 }
 

@@ -74,7 +74,6 @@ func (c *listController) OnDigest(d switchsim.Digest) {
 	obs := c.obs
 	c.mu.Unlock()
 
-	c.sw.ClearFlow(d.Key)
 	for _, victim := range evicted {
 		c.sw.RemoveBlacklist(victim)
 	}
@@ -220,10 +219,6 @@ func (r *recordingSwitch) InstallBlacklist(k features.FlowKey) bool {
 
 func (r *recordingSwitch) RemoveBlacklist(k features.FlowKey) {
 	r.log = append(r.log, "remove "+k.String())
-}
-
-func (r *recordingSwitch) ClearFlow(k features.FlowKey) {
-	r.log = append(r.log, "clear "+k.String())
 }
 
 // TestControllerMatchesListOracle runs random scripts of OnDigest,

@@ -123,6 +123,66 @@ func TestFlowStateVector(t *testing.T) {
 	}
 }
 
+// TestFlowStateTraceTimeDomain pins the trace-time domain at pcap's
+// extremes: FlowState keeps its timestamps as Unix nanoseconds, and on
+// instants from 0 s to 2³²−1 s (with microsecond fractions) its IPDs,
+// duration and IdleFor must equal the time.Time arithmetic on the same
+// instants bit for bit.
+func TestFlowStateTraceTimeDomain(t *testing.T) {
+	const maxSec = 1<<32 - 1
+	at := []time.Time{
+		time.Unix(0, 0),
+		time.Unix(0, 1000),
+		time.Unix(0, 999999000),
+		time.Unix(1, 500000000),
+		time.Unix(maxSec-1, 999999000),
+		time.Unix(maxSec, 0),
+		time.Unix(maxSec, 1000),
+		time.Unix(maxSec, 999999000),
+	}
+	var s FlowState
+	var sum, sq float64
+	minIPD, maxIPD := math.Inf(1), math.Inf(-1)
+	for i, ts := range at {
+		p := pkt(1, 2, 1000, 80, netpkt.ProtoTCP, 100, 0)
+		p.Timestamp = ts
+		s.Add(&p)
+		if i > 0 {
+			ipd := ts.Sub(at[i-1]).Seconds()
+			sum += ipd
+			sq += ipd * ipd
+			minIPD, maxIPD = math.Min(minIPD, ipd), math.Max(maxIPD, ipd)
+		}
+	}
+	if s.IPDSum != sum || s.IPDSqSum != sq || s.IPDMin != minIPD || s.IPDMax != maxIPD {
+		t.Errorf("IPD sum/sq/min/max = %v/%v/%v/%v, time.Time gives %v/%v/%v/%v",
+			s.IPDSum, s.IPDSqSum, s.IPDMin, s.IPDMax, sum, sq, minIPD, maxIPD)
+	}
+	last := at[len(at)-1]
+	if got, want := s.Vector()[FLDuration], last.Sub(at[0]).Seconds(); got != want {
+		t.Errorf("duration = %v, time.Time gives %v", got, want)
+	}
+	timeouts := []time.Duration{0, time.Nanosecond, time.Microsecond, 5 * time.Second, last.Sub(at[0])}
+	for _, now := range at {
+		for _, d := range []time.Duration{0, time.Nanosecond, time.Microsecond, 5 * time.Second} {
+			n := now.Add(d)
+			for _, timeout := range timeouts {
+				// A state whose last packet is each extreme instant.
+				var one FlowState
+				p := pkt(1, 2, 1000, 80, netpkt.ProtoTCP, 100, 0)
+				p.Timestamp = now
+				one.Add(&p)
+				if got, want := one.IdleFor(n.UnixNano(), timeout), n.Sub(now) > timeout; got != want {
+					t.Errorf("IdleFor(%v, %v) after %v = %v, time.Time gives %v", n, timeout, now, got, want)
+				}
+			}
+		}
+		if got, want := s.IdleFor(now.UnixNano(), 5*time.Second), now.Sub(last) > 5*time.Second; got != want {
+			t.Errorf("IdleFor(%v) = %v, time.Time gives %v", now, got, want)
+		}
+	}
+}
+
 func TestFlowStateSinglePacket(t *testing.T) {
 	var s FlowState
 	p := pkt(1, 2, 1000, 80, netpkt.ProtoTCP, 100, 0)

@@ -59,17 +59,47 @@ func PLVector(p *netpkt.Packet) []float64 {
 // have capacity at least PLDim, and returns dst[:PLDim]. It is the
 // allocation-free form of PLVector for per-packet hot paths.
 func PLVectorInto(dst []float64, p *netpkt.Packet) []float64 {
+	return PLFieldsOf(p).VectorInto(dst)
+}
+
+// PLFields is the raw header form of a packet's PL vector: the four
+// fields PLVectorInto reads, packed into 8 bytes, so a flow-table slot
+// can keep its first packet's PL features without a [PLDim]float64.
+// Length is stored in 32 bits: pcap's original-length field is a
+// uint32, so every captured packet's length fits.
+type PLFields struct {
+	Length  uint32
+	DstPort uint16
+	Proto   uint8
+	TTL     uint8
+}
+
+// PLFieldsOf captures the PL header fields of one packet.
+func PLFieldsOf(p *netpkt.Packet) PLFields {
+	return PLFields{Length: uint32(p.Length), DstPort: p.DstPort, Proto: p.Proto, TTL: p.TTL}
+}
+
+// VectorInto writes the 4 PL features into dst, which must have
+// capacity at least PLDim, and returns dst[:PLDim].
+func (f PLFields) VectorInto(dst []float64) []float64 {
 	dst = dst[:PLDim]
-	dst[PLDstPort] = float64(p.DstPort)
-	dst[PLProto] = float64(p.Proto)
-	dst[PLLength] = float64(p.Length)
-	dst[PLTTL] = float64(p.TTL)
+	dst[PLDstPort] = float64(f.DstPort)
+	dst[PLProto] = float64(f.Proto)
+	dst[PLLength] = float64(f.Length)
+	dst[PLTTL] = float64(f.TTL)
 	return dst
 }
 
 // FlowState accumulates flow-level statistics one packet at a time with
 // O(1) state — exactly the registers the switch pipeline maintains
 // (count, size sums and extrema, IPD sums and extrema, timestamps).
+//
+// FirstSeen and LastSeen are trace time in Unix nanoseconds, which
+// covers 1678–2262; every pcap timestamp (an unsigned 32-bit second
+// count from 1970) lies in that range. Only differences of the two are
+// ever read, and each difference goes through time.Duration, so the
+// IPDs, the duration and IdleFor equal the time.Time arithmetic on the
+// same instants bit for bit.
 type FlowState struct {
 	Count      int
 	SizeSum    float64
@@ -80,21 +110,25 @@ type FlowState struct {
 	IPDSqSum   float64
 	IPDMin     float64
 	IPDMax     float64
-	FirstSeen  time.Time
-	LastSeen   time.Time
+	FirstSeen  int64
+	LastSeen   int64
 	hasPackets bool
 }
 
 // Add folds one packet into the state. Packets must arrive in timestamp
 // order per flow (the extractor guarantees this).
-func (s *FlowState) Add(p *netpkt.Packet) {
+func (s *FlowState) Add(p *netpkt.Packet) { s.AddAt(p, p.Timestamp.UnixNano()) }
+
+// AddAt is Add with the packet's timestamp already converted to Unix
+// nanoseconds, for callers that convert it once per packet.
+func (s *FlowState) AddAt(p *netpkt.Packet, now int64) {
 	size := float64(p.Length)
 	if !s.hasPackets {
 		s.hasPackets = true
-		s.FirstSeen = p.Timestamp
+		s.FirstSeen = now
 		s.SizeMin, s.SizeMax = size, size
 	} else {
-		ipd := p.Timestamp.Sub(s.LastSeen).Seconds()
+		ipd := time.Duration(now - s.LastSeen).Seconds()
 		if ipd < 0 {
 			ipd = 0
 		}
@@ -120,13 +154,13 @@ func (s *FlowState) Add(p *netpkt.Packet) {
 	s.SizeSum += size
 	s.SizeSqSum += size * size
 	s.Count++
-	s.LastSeen = p.Timestamp
+	s.LastSeen = now
 }
 
 // IdleFor reports whether the flow has been idle longer than timeout at
-// the given instant.
-func (s *FlowState) IdleFor(now time.Time, timeout time.Duration) bool {
-	return s.hasPackets && now.Sub(s.LastSeen) > timeout
+// the trace instant now (Unix nanoseconds).
+func (s *FlowState) IdleFor(now int64, timeout time.Duration) bool {
+	return s.hasPackets && time.Duration(now-s.LastSeen) > timeout
 }
 
 // Vector materialises the 13 FL features from the accumulated state.
@@ -170,7 +204,7 @@ func (s *FlowState) VectorInto(v []float64) []float64 {
 		v[FLMinIPD] = s.IPDMin
 		v[FLMaxIPD] = s.IPDMax
 	}
-	v[FLDuration] = s.LastSeen.Sub(s.FirstSeen).Seconds()
+	v[FLDuration] = time.Duration(s.LastSeen - s.FirstSeen).Seconds()
 	return v
 }
 
@@ -243,7 +277,7 @@ func NewExtractor(n int, timeout time.Duration) *Extractor {
 // timestamp reveals as timed out).
 func (e *Extractor) Feed(p *netpkt.Packet) []Sample {
 	var out []Sample
-	now := p.Timestamp
+	now := p.Timestamp.UnixNano()
 
 	// Timeout sweep: flows idle past δ are emitted and cleared. The
 	// switch does this with per-slot timestamp registers; a sweep over

@@ -470,15 +470,16 @@ func TestOversizeRecordWithinSnapLenIsSkipped(t *testing.T) {
 	}
 }
 
-// TestRecordHeaderThenEOFIsTruncation pins that a capture cut right
-// after a record header is a truncated record, exactly like a capture
-// cut inside the frame — not a clean end of stream.
+// TestRecordHeaderThenEOFIsTruncation pins that a capture cut inside a
+// record header or right after one is a truncated record, exactly like
+// a capture cut inside the frame — not a clean end of stream.
 func TestRecordHeaderThenEOFIsTruncation(t *testing.T) {
 	raw := fourRecordCapture(t)
 	recLen := (len(raw) - 24) / 4
 	for name, cut := range map[string]int{
-		"after header": 24 + 3*recLen + 16,
-		"inside frame": 24 + 3*recLen + 20,
+		"inside header": 24 + 3*recLen + 5,
+		"after header":  24 + 3*recLen + 16,
+		"inside frame":  24 + 3*recLen + 20,
 	} {
 		r, err := NewPcapReader(bytes.NewReader(raw[:cut]))
 		if err != nil {

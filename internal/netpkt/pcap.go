@@ -134,13 +134,13 @@ func NewPcapReader(r io.Reader) (*PcapReader, error) {
 }
 
 // next reads one record into *p: the one record path behind Next,
-// NextValid, NextValidBatch and ReadAll. It returns nil; io.EOF at the
-// end of the capture (a record header cut short counts as the end); a
-// frame error for a record read whole whose frame does not parse, in
-// which case the record is consumed and the caller may go on; or a
-// stream error — a capture length above the file's snaplen, a record
-// cut short, an I/O error — after which the stream cannot be
-// resynchronised.
+// NextValid, NextValidBatch and ReadAll. It returns nil; io.EOF when
+// the capture ends on a record boundary; a frame error for a record
+// read whole whose frame does not parse, in which case the record is
+// consumed and the caller may go on; or a stream error — a capture
+// length above the file's snaplen, a record cut short (inside its
+// header or its frame), an I/O error — after which the stream cannot
+// be resynchronised.
 //
 // A record longer than 65535 captured bytes but within the file's
 // snaplen (tcpdump's default is 262144) is legal but does not fit the
@@ -148,7 +148,10 @@ func NewPcapReader(r io.Reader) (*PcapReader, error) {
 func (pr *PcapReader) next(p *Packet) error {
 	rec, err := pr.r.Peek(pcapRecHeaderLen)
 	if err != nil {
-		return err // io.EOF also when a record header is cut short
+		if err == io.EOF && len(rec) > 0 {
+			return truncated(err) // a record header cut short
+		}
+		return err
 	}
 	capLen := pr.order.Uint32(rec[8:12])
 	if capLen > pr.snapLen {
@@ -185,7 +188,7 @@ func (pr *PcapReader) next(p *Packet) error {
 	return perr
 }
 
-// truncated wraps a failure to read a record's frame bytes.
+// truncated wraps a failure to read a whole record, header or frame.
 func truncated(err error) error {
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF

@@ -352,11 +352,11 @@ func mustOpen(t testing.TB, data []byte) *PcapReader {
 
 // checkAgainstOracle reads data with both readers and fails unless the
 // new reader delivers what the oracle does. On malformed input the only
-// allowed differences are the two stream-error fixes: a capture length
+// allowed differences are the stream-error fixes: a capture length
 // above the snaplen ends the stream (the oracle skips it and reads on
 // out of frame data, so the reader's packets are a prefix of the
-// oracle's), and a record header followed by EOF is a truncated record
-// (the oracle skips it and reports a clean end). A record longer than
+// oracle's), and a capture that ends inside a record header, or right
+// after one, is a truncated record (the oracle reports a clean end). A record longer than
 // 65535 captured bytes but within the file's snaplen, which the oracle
 // cannot read past, is checked by removing it (see oversizeRecord).
 func checkAgainstOracle(t testing.TB, data []byte) {
@@ -418,8 +418,8 @@ func checkAgainstOracle(t testing.TB, data []byte) {
 		}
 	case errors.Is(got.err, io.ErrUnexpectedEOF):
 		// A truncated record: the oracle reports it too when the cut is
-		// inside the frame, and a clean end when the cut is right after
-		// the record header.
+		// inside the frame, and a clean end when the cut is inside the
+		// record header or right after it.
 		if want.err != io.EOF && !errors.Is(want.err, io.ErrUnexpectedEOF) {
 			t.Fatalf("reader %v, oracle %v", got.err, want.err)
 		}
@@ -462,13 +462,31 @@ func TestPcapReaderMatchesOracle(t *testing.T) {
 }
 
 // TestPcapReaderMatchesOracleMalformed covers cut captures and corrupt
-// capture lengths, where the two readers may differ only in the two
-// stream-error fixes.
+// capture lengths, where the two readers may differ only in the
+// stream-error fixes. A cut capture must end cleanly exactly when the
+// cut falls on a record boundary; every other cut, inside a record
+// header included, is a truncated record.
 func TestPcapReaderMatchesOracleMalformed(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	data := randomCapture(rng, 40, binary.LittleEndian, false)
+	boundary := map[int]bool{}
+	var cuts []int
+	for off := 24; off <= len(data); off += pcapRecHeaderLen + int(binary.LittleEndian.Uint32(data[off+8:off+12])) {
+		boundary[off] = true
+		if off < len(data) {
+			// Inside the record header, at both ends and the middle.
+			cuts = append(cuts, off+1, off+8, off+pcapRecHeaderLen-1)
+		}
+	}
 	for cut := 24; cut <= len(data); cut += 1 + rng.Intn(97) {
+		cuts = append(cuts, cut)
+	}
+	for _, cut := range cuts {
 		checkAgainstOracle(t, data[:cut])
+		err := drain(mustOpen(t, data[:cut]).NextValid).err
+		if boundary[cut] && err != io.EOF || !boundary[cut] && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d (record boundary: %v): reader ended with %v", cut, boundary[cut], err)
+		}
 	}
 	for i := 0; i < 50; i++ {
 		bad := append([]byte(nil), data...)

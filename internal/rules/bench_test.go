@@ -8,12 +8,14 @@ import (
 )
 
 // benchCompiled builds a compiled whitelist of count random 4-feature
-// rules at 12-bit quantisation — the PL-table shape the serving
-// benchmarks replay against — plus a deterministic batch of quantised
-// probe vectors (a mix of hits and misses).
-func benchCompiled(count int) (*CompiledRuleSet, [][]uint64) {
+// rules at the given quantiser width, plus a deterministic batch of
+// quantised probe vectors (a mix of hits and misses). At 12 bits it is
+// the PL-table shape the serving benchmarks replay against, with a
+// direct code table per feature; at 20 bits (the library default and
+// the bench model's width) Match locates features by float thresholds.
+func benchCompiled(count, bits int) (*CompiledRuleSet, [][]uint64) {
 	r := mathx.NewRand(int64(count))
-	c := Compile(randomRuleSet(r, 4, count), quantizerFor(4, 12))
+	c := Compile(randomRuleSet(r, 4, count), quantizerFor(4, bits))
 	probes := make([][]uint64, 256)
 	levels := int(c.Quantizer.Levels(0))
 	for i := range probes {
@@ -32,7 +34,7 @@ func benchCompiled(count int) (*CompiledRuleSet, [][]uint64) {
 // MatchCodes); the bitvector numbers are what ships.
 func BenchmarkMatch(b *testing.B) {
 	for _, count := range []int{16, 128, 1024} {
-		c, probes := benchCompiled(count)
+		c, probes := benchCompiled(count, 12)
 		if c.MatcherKind() != "bitvector" {
 			b.Fatalf("rules=%d compiled without the bit-vector index", count)
 		}
@@ -51,43 +53,50 @@ func BenchmarkMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchFloat measures the full float→verdict path (quantise
-// into a stack buffer, then the bit-vector match) — what the switch
-// pipeline's classify arms pay per packet.
+// BenchmarkMatchFloat measures the full float→verdict path — what the
+// switch pipeline's classify arms pay per packet. At 12 bits Match
+// quantises each feature and loads its direct code table; at 20 bits it
+// binary-searches each feature's float thresholds.
 func BenchmarkMatchFloat(b *testing.B) {
-	for _, count := range []int{16, 128, 1024} {
-		c, _ := benchCompiled(count)
-		r := mathx.NewRand(9)
-		xs := make([][]float64, 256)
-		for i := range xs {
-			x := make([]float64, 4)
-			for d := range x {
-				x[d] = r.Float64() * 100
+	for _, bits := range []int{12, 20} {
+		for _, count := range []int{16, 128, 1024} {
+			c, _ := benchCompiled(count, bits)
+			r := mathx.NewRand(9)
+			xs := make([][]float64, 256)
+			for i := range xs {
+				x := make([]float64, 4)
+				for d := range x {
+					x[d] = r.Float64() * 100
+				}
+				xs[i] = x
 			}
-			xs[i] = x
+			b.Run(fmt.Sprintf("bits=%d/rules=%d", bits, count), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c.Match(xs[i%len(xs)])
+				}
+			})
 		}
-		b.Run(fmt.Sprintf("rules=%d", count), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c.Match(xs[i%len(xs)])
-			}
-		})
 	}
 }
 
 // BenchmarkCompile tracks rule-compilation cost (quantise, dedup,
 // index build) — the control-plane price paid per whitelist hot-swap.
+// At 12 bits the index builds direct code tables; at 20 bits it
+// searches out each interval start's float threshold instead.
 func BenchmarkCompile(b *testing.B) {
-	for _, count := range []int{128, 1024} {
-		r := mathx.NewRand(int64(count))
-		rs := randomRuleSet(r, 4, count)
-		q := quantizerFor(4, 12)
-		b.Run(fmt.Sprintf("rules=%d", count), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Compile(rs, q)
-			}
-		})
+	for _, bits := range []int{12, 20} {
+		for _, count := range []int{16, 128, 1024} {
+			r := mathx.NewRand(int64(count))
+			rs := randomRuleSet(r, 4, count)
+			q := quantizerFor(4, bits)
+			b.Run(fmt.Sprintf("bits=%d/rules=%d", bits, count), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					Compile(rs, q)
+				}
+			})
+		}
 	}
 }
 

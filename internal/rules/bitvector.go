@@ -1,6 +1,10 @@
 package rules
 
-import "sort"
+import (
+	"math"
+	"math/bits"
+	"sort"
+)
 
 // This file implements the bit-vector packet-classification index
 // (Lakshman–Stiliadis) that makes CompiledRuleSet matching constant
@@ -19,6 +23,15 @@ import "sort"
 // rule containing the code vector, which is exactly the linear scan's
 // acceptance condition, so verdicts are identical by construction at
 // every bit width.
+//
+// Float thresholds. A feature without a direct table also keeps, for
+// each interval start code b, the least float64 that Quantizer.Encode
+// maps to b or above. Encode is monotone, so x lies in interval j
+// exactly when j is the greatest index whose threshold is ≤ x, and
+// Match can binary-search the raw feature value without quantising it:
+// no divide, no floor, the same verdict. Thresholds are stored as
+// order-preserving integer keys of the floats (orderedKey), so the
+// search is the same integer search as over codes.
 
 // bvMaxDims bounds the stack-allocated per-feature interval buffer in
 // MatchCodes. Rule sets wider than this (none exist in iGuard: FL is
@@ -48,6 +61,14 @@ type bvFeature struct {
 	// bounds holds the sorted interval start codes (bounds[0] == 0),
 	// searched when direct is nil.
 	bounds []uint64
+	// thresholds holds, for each interval start bounds[j] that some
+	// value reaches, the orderedKey of the least float64 that Encode
+	// maps to bounds[j] or above (thresholds[0] is -Inf's key). Starts
+	// no value reaches (all of them but 0 when the feature's span is
+	// ≤ 0) are left off the end. It is nil when direct is set or when
+	// Encode is not monotone for the feature (a non-finite span), and
+	// Match then quantises.
+	thresholds []uint64
 }
 
 // locate resolves a code (< levels) to its elementary-interval index.
@@ -55,17 +76,29 @@ func (f *bvFeature) locate(code uint64) uint32 {
 	if f.direct != nil {
 		return f.direct[code]
 	}
-	// Greatest j with bounds[j] <= code; bounds[0] == 0 anchors it.
-	lo, hi := 0, len(f.bounds)-1
-	for lo < hi {
-		mid := int(uint(lo+hi+1) >> 1)
-		if f.bounds[mid] <= code {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	return lastAtMost(f.bounds, code)
+}
+
+// locateFloat resolves a feature value (not NaN) to its
+// elementary-interval index via thresholds: the same interval locate
+// finds for the value's code.
+func (f *bvFeature) locateFloat(v float64) uint32 {
+	return lastAtMost(f.thresholds, orderedKey(v))
+}
+
+// lastAtMost returns the greatest j with s[j] <= x, for s sorted
+// ascending with s[0] <= x. Each step halves the candidate run and
+// moves its base by arithmetic on the borrow of x − s[mid] rather than
+// by a branch, so a search over random values pays no mispredictions.
+func lastAtMost(s []uint64, x uint64) uint32 {
+	base, n := uint(0), uint(len(s))
+	for n > 1 {
+		half := n / 2
+		_, borrow := bits.Sub64(x, s[base+half], 0) // 1 iff x < s[mid]
+		base += half & (uint(borrow) - 1)
+		n -= half
 	}
-	return uint32(lo)
+	return uint32(base)
 }
 
 // bvIndex is the whole-ruleset bit-vector index.
@@ -80,7 +113,7 @@ func (ix *bvIndex) bytes() int {
 	total := 0
 	for i := range ix.feats {
 		f := &ix.feats[i]
-		total += 8*len(f.bitmaps) + 4*len(f.direct) + 8*len(f.bounds)
+		total += 8*len(f.bitmaps) + 4*len(f.direct) + 8*len(f.bounds) + 8*len(f.thresholds)
 	}
 	return total
 }
@@ -147,7 +180,93 @@ func buildBVIndex(rs []TCAMRule, q *Quantizer) *bvIndex {
 				}
 				f.direct[code] = uint32(j)
 			}
+		} else {
+			f.thresholds = floatThresholds(q, i, f.bounds)
 		}
 	}
 	return ix
+}
+
+// floatThresholds returns, for each code in bounds (sorted, bounds[0]
+// == 0), the orderedKey of the least float64 x with q.Encode(i, x) >=
+// code, stopping at the first code no value reaches. It returns nil
+// when the feature's span is not finite: Encode is then not monotone
+// (it meets Inf/Inf).
+func floatThresholds(q *Quantizer, i int, bounds []uint64) []uint64 {
+	span := q.Max[i] - q.Min[i]
+	if math.IsInf(span, 0) || math.IsNaN(span) {
+		return nil
+	}
+	levels := float64(q.Levels(i))
+	out := make([]uint64, 1, len(bounds))
+	out[0] = orderedKey(math.Inf(-1))
+	top := q.Encode(i, math.Inf(1))
+	for _, b := range bounds[1:] {
+		if b > top {
+			break
+		}
+		// Decode's bucket edge is the analytic guess; the search
+		// corrects its rounding.
+		guess := q.Min[i] + float64(b)/levels*span
+		out = append(out, leastReaching(q, i, b, guess))
+	}
+	return out
+}
+
+// orderedKey maps a non-NaN float64 to a uint64 with the same order
+// (−0 sorts just below +0): negative floats have every bit flipped,
+// the others only the sign bit. orderedFloat is its inverse.
+func orderedKey(x float64) uint64 {
+	u := math.Float64bits(x)
+	return u ^ (uint64(int64(u)>>63) | 1<<63)
+}
+
+func orderedFloat(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
+// leastReaching returns the orderedKey of the least float64 x with
+// q.Encode(i, x) >= b, for a code b in [1, Encode(+Inf)] and a
+// monotone Encode. It gallops from guess in steps of 1, 2, 4, …
+// representable floats until it brackets the answer, then bisects the
+// bracket, so a guess a few floats off costs a few Encode calls and a
+// poor one at most about 128.
+func leastReaching(q *Quantizer, i int, b uint64, guess float64) uint64 {
+	reaches := func(k uint64) bool { return q.Encode(i, orderedFloat(k)) >= b }
+	// Invariant: lo does not reach b, hi does. Encode(-Inf) is 0 < b.
+	lo, hi := orderedKey(math.Inf(-1)), orderedKey(math.Inf(1))
+	if g := orderedKey(guess); !math.IsNaN(guess) && lo < g && g < hi {
+		if reaches(g) {
+			hi = g
+			for step := uint64(1); hi-lo > step; step *= 2 {
+				if c := hi - step; reaches(c) {
+					hi = c
+				} else {
+					lo = c
+					break
+				}
+			}
+		} else {
+			lo = g
+			for step := uint64(1); hi-lo > step; step *= 2 {
+				if c := lo + step; reaches(c) {
+					hi = c
+					break
+				}
+				lo += step
+			}
+		}
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if reaches(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
 }

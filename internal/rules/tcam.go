@@ -327,17 +327,47 @@ func (c *CompiledRuleSet) RangeKeyBits() int {
 }
 
 // Match returns 0 when the quantised x falls in any installed whitelist
-// rule, else the default (malicious) label. Vectors up to bvMaxDims
-// wide quantise into a stack buffer, so the call is allocation-free on
-// every iGuard feature space.
+// rule, else the default (malicious) label. A NaN feature value matches
+// no rule, so x holding one gets the default label on every platform
+// (Go leaves uint64(NaN), and so Encode of NaN, to the platform).
+// Features that have float thresholds (see bitvector.go) locate their
+// interval from the raw value; the others quantise it and look the code
+// up. Either way the verdict is MatchCodes' on the quantised vector,
+// and the call is allocation-free on every iGuard feature space.
 //
 //iguard:hotpath
 func (c *CompiledRuleSet) Match(x []float64) int {
-	if len(x) <= bvMaxDims {
+	if len(x) > bvMaxDims {
+		return c.matchWide(x)
+	}
+	ix := c.bv
+	if ix == nil {
+		if hasNaN(x) {
+			return c.DefaultLabel
+		}
 		var buf [bvMaxDims]uint64
 		return c.MatchCodes(c.Quantizer.EncodeVectorInto(buf[:], x))
 	}
-	return c.matchWide(x)
+	var rowBuf [bvMaxDims]uint32
+	feats := ix.feats
+	rows := rowBuf[:len(feats)]
+	for i := range feats {
+		f := &feats[i]
+		v := x[i]
+		if math.IsNaN(v) {
+			return c.DefaultLabel
+		}
+		if f.thresholds != nil {
+			rows[i] = f.locateFloat(v)
+			continue
+		}
+		code := c.Quantizer.Encode(i, v)
+		if code >= f.levels {
+			return c.DefaultLabel
+		}
+		rows[i] = f.locate(code)
+	}
+	return c.matchRows(rows)
 }
 
 // matchWide handles vectors wider than the stack buffer. No iGuard
@@ -346,7 +376,20 @@ func (c *CompiledRuleSet) Match(x []float64) int {
 //
 //iguard:coldpath only reachable for >bvMaxDims-dimensional vectors
 func (c *CompiledRuleSet) matchWide(x []float64) int {
+	if hasNaN(x) {
+		return c.DefaultLabel
+	}
 	return c.MatchCodes(c.Quantizer.EncodeVector(x))
+}
+
+// hasNaN reports whether any value of x is NaN.
+func hasNaN(x []float64) bool {
+	for _, v := range x {
+		if math.IsNaN(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // MatchCodes is Match over already-quantised feature codes, the form the
@@ -373,8 +416,15 @@ func (c *CompiledRuleSet) MatchCodes(codes []uint64) int {
 		}
 		rows[i] = f.locate(codes[i])
 	}
-	words := ix.words
-	for w := 0; w < words; w++ {
+	return c.matchRows(rows)
+}
+
+// matchRows ANDs the bitmaps of each feature's located interval
+// (rows[i] for feature i) word by word: a surviving bit is a whitelist
+// rule covering every feature's interval.
+func (c *CompiledRuleSet) matchRows(rows []uint32) int {
+	feats := c.bv.feats
+	for w := 0; w < c.bv.words; w++ {
 		acc := ^uint64(0)
 		for i := range feats {
 			acc &= feats[i].bitmaps[w*feats[i].nivs+int(rows[i])]
@@ -383,8 +433,6 @@ func (c *CompiledRuleSet) MatchCodes(codes []uint64) int {
 			}
 		}
 		if acc != 0 {
-			// A surviving bit is a whitelist rule covering every
-			// feature's interval.
 			return 0
 		}
 	}

@@ -1,8 +1,10 @@
 package switchsim
 
 import (
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"iguard/internal/features"
 	"iguard/internal/netpkt"
@@ -109,4 +111,43 @@ func TestProcessPacketAllocationFree(t *testing.T) {
 			t.Fatal("workload never hit the orange path; the assertion is vacuous")
 		}
 	})
+}
+
+// TestSlotLayout pins the flow-table slot at two cache lines (128 B)
+// and free of pointers: a lookup touches at most two lines per table,
+// and the garbage collector never has to scan the tables, however many
+// slots they hold.
+func TestSlotLayout(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n > 128 {
+		t.Errorf("slot is %d bytes, want at most 128", n)
+	}
+	if path, ok := pointerFree(reflect.TypeOf(slot{}), "slot"); !ok {
+		t.Errorf("slot holds a pointer at %s", path)
+	}
+	// The walk must see the pointer a time.Time carries (its location).
+	if _, ok := pointerFree(reflect.TypeOf(time.Time{}), "time.Time"); ok {
+		t.Error("pointerFree accepts time.Time")
+	}
+}
+
+// pointerFree reports whether values of type t hold no pointers, and
+// otherwise the path to the first field that does.
+func pointerFree(t reflect.Type, path string) (string, bool) {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return "", true
+	case reflect.Array:
+		return pointerFree(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if p, ok := pointerFree(f.Type, path+"."+f.Name); !ok {
+				return p, false
+			}
+		}
+		return "", true
+	}
+	return path + " (" + t.String() + ")", false
 }

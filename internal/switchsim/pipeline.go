@@ -121,21 +121,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// slot is one flow-state entry of a bi-hash table.
+// slot is one flow-state entry of a bi-hash table. It is 128 bytes —
+// two cache lines, so a lookup touches at most two lines per table —
+// and holds no pointers, so the garbage collector never scans the
+// tables (TestSlotLayout pins both). Times are trace time in Unix
+// nanoseconds (see features.FlowState).
 type slot struct {
 	valid bool
+	// label is -1 while unclassified, else 0/1.
+	label int8
 	key   features.FlowKey
 	state features.FlowState
-	// firstPL is the PL feature vector of the flow's first packet, kept
-	// in metadata registers for the blue-path merged-whitelist match.
-	// A fixed array — like the hardware registers it models — so slot
-	// (re)initialisation never touches the heap.
-	firstPL [features.PLDim]float64
-	// label is -1 while unclassified, else 0/1.
-	label int
+	// firstPL holds the header fields behind the PL feature vector of
+	// the flow's first packet, kept in metadata registers for the
+	// blue-path merged-whitelist match.
+	firstPL features.PLFields
 	// lastSeen tracks idleness after classification too (state is
 	// cleared but the label lingers until timeout).
-	lastSeen time.Time
+	lastSeen int64
 }
 
 // Counters aggregates pipeline statistics.
@@ -276,18 +279,18 @@ func (sw *Switch) lookup(key features.FlowKey, fold uint32) (resident *slot, fre
 	return nil, free, victims, nVictims
 }
 
-// classifyFL runs the blue-path whitelist match over the flow state: the
-// PL features of the flow's first packet combined with the FL features.
-// The verdict is malicious when either table says so (the merged
-// whitelist of §3.3.1). The FL vector materialises into the switch's
-// scratch buffer, so classification is allocation-free.
-func (sw *Switch) classifyFL(st *features.FlowState, firstPL []float64) int {
+// classifyFL runs the blue-path whitelist match over a slot's flow
+// state: the PL features of the flow's first packet combined with the
+// FL features. The verdict is malicious when either table says so (the
+// merged whitelist of §3.3.1). Both vectors materialise into the
+// switch's scratch buffers, so classification is allocation-free.
+func (sw *Switch) classifyFL(s *slot) int {
 	verdict := 0
 	if sw.cfg.FLRules != nil {
-		verdict = sw.cfg.FLRules.Match(st.VectorInto(sw.flBuf[:]))
+		verdict = sw.cfg.FLRules.Match(s.state.VectorInto(sw.flBuf[:]))
 	}
-	if verdict == 0 && sw.cfg.PLRules != nil && firstPL != nil {
-		verdict = sw.cfg.PLRules.Match(firstPL)
+	if verdict == 0 && sw.cfg.PLRules != nil {
+		verdict = sw.cfg.PLRules.Match(s.firstPL.VectorInto(sw.plBuf[:]))
 	}
 	return verdict
 }
@@ -364,7 +367,7 @@ func (sw *Switch) ProcessBatch(pkts []netpkt.Packet, keys []features.FlowKey, fo
 // FoldCanonical value, both computed once by the caller.
 func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32) Decision {
 	sw.Counters.Packets++
-	now := p.Timestamp
+	now := p.Timestamp.UnixNano()
 	// Red path: blacklist match, probed with the fold the packet
 	// already carries.
 	if _, hit := sw.blacklist.Get(key, fold); hit {
@@ -380,12 +383,12 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 	if resident != nil {
 		// Timeout of the resident flow itself (blue path, timeout arm).
 		if resident.label == -1 && resident.state.IdleFor(now, sw.cfg.Timeout) {
-			return sw.bluePath(resident, p, true)
+			return sw.bluePath(resident, p, now, true)
 		}
 		if resident.label >= 0 {
 			// Purple path: early decision from the flow label register.
 			// Label storage itself times out to keep slots reusable.
-			if now.Sub(resident.lastSeen) > sw.cfg.Timeout {
+			if time.Duration(now-resident.lastSeen) > sw.cfg.Timeout {
 				*resident = slot{}
 				return sw.admit(p, key, resident, now)
 			}
@@ -395,13 +398,13 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 			if dropped {
 				sw.Counters.Drops++
 			}
-			return Decision{Path: PathPurple, Predicted: resident.label, Dropped: dropped}
+			return Decision{Path: PathPurple, Predicted: int(resident.label), Dropped: dropped}
 		}
 		// Accumulating flow: add the packet.
-		resident.state.Add(p)
+		resident.state.AddAt(p, now)
 		resident.lastSeen = now
 		if resident.state.Count >= sw.cfg.PktThreshold {
-			return sw.bluePath(resident, p, false)
+			return sw.bluePath(resident, p, now, false)
 		}
 		// Brown path: early packets, PL-only match.
 		sw.Counters.PathCounts[PathBrown]++
@@ -422,7 +425,7 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 	// Timed-out victims are classified and evicted first.
 	for _, v := range victims[:nVictims] {
 		if v.label == -1 && v.state.IdleFor(now, sw.cfg.Timeout) {
-			verdict := sw.classifyFL(&v.state, v.plVec())
+			verdict := sw.classifyFL(v)
 			sw.emitDigest(v.key, verdict)
 			sw.Counters.Recirculated++
 			*v = slot{}
@@ -457,23 +460,20 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 	return Decision{Path: PathOrange, Predicted: verdict, Dropped: dropped}
 }
 
-// plVec returns the PL vector of the slot's first packet.
-func (s *slot) plVec() []float64 { return s.firstPL[:] }
-
 // admit initialises a slot with the packet's flow and runs the
 // brown-path PL match (or blue when n == 1). key is the packet's
 // canonical flow key, computed once by processOne's caller and
 // threaded through rather than re-derived per admission.
-func (sw *Switch) admit(p *netpkt.Packet, key features.FlowKey, s *slot, now time.Time) Decision {
+func (sw *Switch) admit(p *netpkt.Packet, key features.FlowKey, s *slot, now int64) Decision {
 	s.valid = true
 	s.key = key
 	s.label = -1
 	s.state = features.FlowState{}
-	features.PLVectorInto(s.firstPL[:], p)
-	s.state.Add(p)
+	s.firstPL = features.PLFieldsOf(p)
+	s.state.AddAt(p, now)
 	s.lastSeen = now
 	if s.state.Count >= sw.cfg.PktThreshold {
-		return sw.bluePath(s, p, false)
+		return sw.bluePath(s, p, now, false)
 	}
 	sw.Counters.PathCounts[PathBrown]++
 	verdict := sw.classifyPL(p)
@@ -487,18 +487,19 @@ func (sw *Switch) admit(p *netpkt.Packet, key features.FlowKey, s *slot, now tim
 // bluePath classifies the flow (n-th packet or timeout), emits the
 // digest, clears the stateful storage, mirrors to the loopback port to
 // write the flow-label register (green path), and mirrors benign flows
-// to the CPU for whitelist updates.
-func (sw *Switch) bluePath(s *slot, p *netpkt.Packet, timedOut bool) Decision {
+// to the CPU for whitelist updates. now is the packet's trace time in
+// Unix nanoseconds.
+func (sw *Switch) bluePath(s *slot, p *netpkt.Packet, now int64, timedOut bool) Decision {
 	sw.Counters.PathCounts[PathBlue]++
-	verdict := sw.classifyFL(&s.state, s.plVec())
+	verdict := sw.classifyFL(s)
 	digest := sw.emitDigest(s.key, verdict)
 
 	// Loopback mirror updates the flow-label register (green path).
 	sw.Counters.Recirculated++
 	sw.Counters.PathCounts[PathGreen]++
-	s.label = verdict
+	s.label = int8(verdict)
 	s.state = features.FlowState{}
-	s.lastSeen = p.Timestamp
+	s.lastSeen = now
 
 	pktVerdict := verdict
 	if timedOut {
@@ -507,8 +508,8 @@ func (sw *Switch) bluePath(s *slot, p *netpkt.Packet, timedOut bool) Decision {
 		// flow starts accumulating again from this packet.
 		pktVerdict = sw.classifyPL(p)
 		s.label = -1
-		s.state.Add(p)
-		features.PLVectorInto(s.firstPL[:], p)
+		s.state.AddAt(p, now)
+		s.firstPL = features.PLFieldsOf(p)
 		// The flow's verdict still stands via the digest.
 		if verdict == 1 {
 			pktVerdict = 1
@@ -528,8 +529,9 @@ func (sw *Switch) bluePath(s *slot, p *netpkt.Packet, timedOut bool) Decision {
 // instant: flows idle past δ are classified from their accumulated
 // state (blue-path semantics, with digest and recirculation accounted),
 // and idle classified labels are reclaimed so the slots become free.
-func (sw *Switch) SweepTimeouts(now time.Time) {
+func (sw *Switch) SweepTimeouts(at time.Time) {
 	sw.Counters.Sweeps++
+	now := at.UnixNano()
 	for ti := 0; ti < 2; ti++ {
 		for i := range sw.tables[ti] {
 			s := &sw.tables[ti][i]
@@ -538,12 +540,12 @@ func (sw *Switch) SweepTimeouts(now time.Time) {
 			}
 			switch {
 			case s.label == -1 && s.state.IdleFor(now, sw.cfg.Timeout):
-				verdict := sw.classifyFL(&s.state, s.plVec())
+				verdict := sw.classifyFL(s)
 				sw.emitDigest(s.key, verdict)
 				sw.Counters.Recirculated++
 				*s = slot{}
 				sw.Counters.SweepReleases++
-			case s.label >= 0 && now.Sub(s.lastSeen) > sw.cfg.Timeout:
+			case s.label >= 0 && time.Duration(now-s.lastSeen) > sw.cfg.Timeout:
 				*s = slot{}
 				sw.Counters.SweepReleases++
 			}
@@ -563,23 +565,6 @@ func (sw *Switch) ActiveFlows() int {
 		}
 	}
 	return n
-}
-
-// ClearFlow releases the FL feature storage of a flow (controller
-// cleanup after a digest). The flow-label register is a separate
-// storage in the design (Fig. 4) and survives this cleanup — it is what
-// the purple path reads for early decisions; the switch reclaims it via
-// the idle timeout.
-func (sw *Switch) ClearFlow(key features.FlowKey) {
-	k := key.Canonical()
-	fold := k.FoldCanonical()
-	for ti := 0; ti < 2; ti++ {
-		idx := features.IndexFold(fold, sw.seeds[ti], sw.cfg.Slots)
-		s := &sw.tables[ti][idx]
-		if s.valid && s.key == k {
-			s.state = features.FlowState{}
-		}
-	}
 }
 
 // Usage returns the structural resource consumption of this deployment.

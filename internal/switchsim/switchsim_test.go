@@ -296,24 +296,36 @@ type digestFunc func(Digest)
 
 func (f digestFunc) OnDigest(d Digest) { f(d) }
 
-func TestClearFlowKeepsLabelStorage(t *testing.T) {
-	sw := newTestSwitch(100, time.Minute)
+// TestBluePathClearsStateKeepsLabel pins the storage clear the blue
+// path does in line with its digest: once the packet is done the
+// flow's feature state is zero while the label survives in a
+// still-valid slot, so no controller call is needed to clear it.
+func TestBluePathClearsStateKeepsLabel(t *testing.T) {
+	sw := newTestSwitch(2, time.Minute)
+	var digests int
+	sw.SetSink(digestFunc(func(Digest) { digests++ }))
+	for i := 0; i < 2; i++ {
+		p := mkPkt(13, 1300, 100, time.Duration(i)*time.Millisecond)
+		sw.ProcessPacket(&p)
+	}
+	if digests != 1 {
+		t.Fatalf("digests = %d, want 1", digests)
+	}
 	p := mkPkt(13, 1300, 100, 0)
-	sw.ProcessPacket(&p)
-	if sw.ActiveFlows() != 1 {
-		t.Fatalf("active = %d", sw.ActiveFlows())
+	s, _, _, _ := sw.lookup(features.KeyOf(&p).Canonical(), features.KeyOf(&p).Canonical().FoldCanonical())
+	if s == nil {
+		t.Fatal("classified flow lost its slot")
 	}
-	// ClearFlow wipes the FL feature state but keeps the slot (the
-	// flow-label register survives controller cleanup).
-	sw.ClearFlow(features.KeyOf(&p))
-	if sw.ActiveFlows() != 1 {
-		t.Errorf("active after clear = %d, want 1 (label storage kept)", sw.ActiveFlows())
+	if s.state != (features.FlowState{}) {
+		t.Errorf("flow state after the blue path = %+v, want zero", s.state)
 	}
-	// The feature state is gone: the next packet counts as the first.
-	p2 := mkPkt(13, 1300, 100, time.Millisecond)
-	sw.ProcessPacket(&p2)
-	if got := sw.Counters.PathCounts[PathBrown]; got < 2 {
-		t.Errorf("brown count = %d, want flow re-accumulating", got)
+	if s.label != 0 {
+		t.Errorf("label = %d, want 0 (benign)", s.label)
+	}
+	// The label register answers the next packet on the purple path.
+	p3 := mkPkt(13, 1300, 100, 2*time.Millisecond)
+	if d := sw.ProcessPacket(&p3); d.Path != PathPurple {
+		t.Errorf("next packet took %v, want purple", d.Path)
 	}
 }
 
