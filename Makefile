@@ -1,6 +1,6 @@
 # Convenience targets for the iGuard reproduction.
 
-.PHONY: build test bench bench-e2e bench-diff bench-parallel bench-serve bench-batch bench-mp bench-rules bench-ctrl bench-decode eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed fuzz-rules p4lint
+.PHONY: build test bench bench-e2e bench-diff bench-parallel bench-serve bench-batch bench-mp bench-rules bench-ctrl bench-decode bench-fold eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed fuzz-rules p4lint
 
 build:
 	go build ./...
@@ -50,8 +50,9 @@ bench-batch:
 bench-mp:
 	go test -bench 'BenchmarkServeThroughputMP' -benchmem -cpu 1,4 -run '^$$' ./internal/serve
 
-# Whitelist microbenchmarks: bit-vector index vs the linear reference
-# scan at 16/128/1024 rules; the float match and compile cost at 12
+# Whitelist microbenchmarks, each match case over a stream of 64k
+# seeded probe vectors: bit-vector index vs the linear reference scan
+# at 16/128/1024 rules; the float match and compile cost at 12
 # bits (direct code tables) and 20 bits (float thresholds, the library
 # default width); and the adjacent-cell merge of rule generation on a
 # 13-dimension grid of about 2.4k cells.
@@ -69,6 +70,13 @@ bench-ctrl:
 # allocations per decoded packet.
 bench-decode:
 	go test -bench 'BenchmarkPcapDecode' -benchmem -run '^$$' ./internal/netpkt
+
+# Flow-key fold: a packet's canonical key and fold into batch slots,
+# once through CanonicalFoldOf (key returned by value, then copied) and
+# once in place (PacketFold + CanonicalInto, the ingest path), in ns
+# per packet.
+bench-fold:
+	go test -bench 'BenchmarkCanonicalFold' -benchmem -run '^$$' ./internal/features
 
 # Full-size evaluation (several minutes).
 eval:

@@ -365,20 +365,6 @@ func (c *Controller) Flush() int {
 	return len(victims)
 }
 
-// Touch records data-plane activity for an already blacklisted flow
-// (red-path hits) so LRU keeps hot attackers blacklisted.
-func (c *Controller) Touch(key features.FlowKey) {
-	if c.policy != LRU {
-		return
-	}
-	key = key.Canonical()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i, ok := c.index.Get(key, key.FoldCanonical()); ok {
-		c.moveToBackLocked(i)
-	}
-}
-
 // Stats returns a snapshot of controller activity.
 func (c *Controller) Stats() Stats {
 	c.mu.Lock()

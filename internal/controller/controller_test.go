@@ -103,30 +103,6 @@ func TestLRUEvictionRefreshesOnDigest(t *testing.T) {
 	}
 }
 
-func TestLRUTouch(t *testing.T) {
-	fs := newFakeSwitch()
-	c := New(fs, 2, LRU)
-	c.OnDigest(switchsim.Digest{Key: key(1), Label: 1})
-	c.OnDigest(switchsim.Digest{Key: key(2), Label: 1})
-	c.Touch(key(1))
-	c.OnDigest(switchsim.Digest{Key: key(3), Label: 1})
-	if fs.installed[key(2).Canonical()] {
-		t.Error("touched key(1) should have survived over key(2)")
-	}
-}
-
-func TestTouchIgnoredUnderFIFO(t *testing.T) {
-	fs := newFakeSwitch()
-	c := New(fs, 2, FIFO)
-	c.OnDigest(switchsim.Digest{Key: key(1), Label: 1})
-	c.OnDigest(switchsim.Digest{Key: key(2), Label: 1})
-	c.Touch(key(1))
-	c.OnDigest(switchsim.Digest{Key: key(3), Label: 1})
-	if fs.installed[key(1).Canonical()] {
-		t.Error("FIFO must ignore Touch")
-	}
-}
-
 func TestDefaultCapacity(t *testing.T) {
 	c := New(newFakeSwitch(), 0, FIFO)
 	if c.capacity <= 0 {
@@ -185,7 +161,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 		go func(base byte) {
 			defer wg.Done()
 			for j := 0; j < 64; j++ {
-				c.Touch(key(base*64 + byte(j)))
+				c.Install(key(base*64 + byte(j)))
 			}
 		}(byte(i))
 		go func() {

@@ -172,17 +172,6 @@ func (c *listController) Flush() int {
 	return len(victims)
 }
 
-func (c *listController) Touch(key features.FlowKey) {
-	if c.policy != LRU {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.index[key.Canonical()]; ok {
-		c.order.MoveToBack(el)
-	}
-}
-
 func (c *listController) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -203,7 +192,6 @@ type blacklistPlane interface {
 	Install(features.FlowKey) bool
 	Remove(features.FlowKey) bool
 	Flush() int
-	Touch(features.FlowKey)
 	Stats() Stats
 	BlacklistLen() int
 }
@@ -222,7 +210,7 @@ func (r *recordingSwitch) RemoveBlacklist(k features.FlowKey) {
 }
 
 // TestControllerMatchesListOracle runs random scripts of OnDigest,
-// Install, Remove, Touch and Flush through Controller and the
+// Install, Remove and Flush through Controller and the
 // container/list reference under both policies and several capacities.
 // Keys arrive in either direction. After every step the two must agree
 // on the step's return value, must have issued the same data-plane
@@ -248,7 +236,7 @@ func TestControllerMatchesListOracle(t *testing.T) {
 					var op string
 					var g, w any
 					switch n := r.Intn(100); {
-					case n < 45:
+					case n < 55:
 						d := switchsim.Digest{Key: k, Label: 1}
 						if r.Intn(4) == 0 {
 							d.Label = 0
@@ -256,16 +244,12 @@ func TestControllerMatchesListOracle(t *testing.T) {
 						op = fmt.Sprintf("OnDigest(%v, %d)", k, d.Label)
 						got.OnDigest(d)
 						want.OnDigest(d)
-					case n < 65:
+					case n < 80:
 						op = fmt.Sprintf("Install(%v)", k)
 						g, w = got.Install(k), want.Install(k)
-					case n < 80:
+					case n < 98:
 						op = fmt.Sprintf("Remove(%v)", k)
 						g, w = got.Remove(k), want.Remove(k)
-					case n < 98:
-						op = fmt.Sprintf("Touch(%v)", k)
-						got.Touch(k)
-						want.Touch(k)
 					default:
 						op = "Flush()"
 						g, w = got.Flush(), want.Flush()

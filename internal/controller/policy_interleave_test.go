@@ -8,22 +8,21 @@ import (
 )
 
 // TestPolicyInterleavings drives one scripted interleaving of digest
-// installs, Touch refreshes, federation applies (Install/Remove), and
-// Flush through both eviction policies, pinning the exact eviction
-// order each produces. The script is chosen so every divergence point
-// between LRU and FIFO is exercised: Touch (refresh vs no-op),
-// re-Install of a resident key (recency bump vs no-op), and evictions
-// triggered from both the digest path and the apply path.
+// installs, federation applies (Install/Remove), and Flush through both
+// eviction policies, pinning the exact eviction order each produces.
+// The script is chosen so every divergence point between LRU and FIFO
+// is exercised: a digest for a resident key and a re-Install of one
+// (each a recency bump vs a no-op), and evictions triggered from both
+// the digest path and the apply path.
 func TestPolicyInterleavings(t *testing.T) {
 	type step struct {
 		digest  byte // OnDigest(key(n), malicious) when nonzero
-		touch   byte
 		install byte // federation apply path
 		remove  byte
 	}
 	script := []step{
 		{digest: 1}, {digest: 2}, {digest: 3}, // fill to capacity (3)
-		{touch: 1},   // LRU refreshes k1; FIFO ignores
+		{digest: 1},  // resident: LRU refreshes k1; FIFO ignores
 		{digest: 4},  // evicts: LRU k2, FIFO k1
 		{install: 5}, // apply-path install evicts: LRU k3, FIFO k2
 		{install: 4}, // resident: LRU recency bump, FIFO no-op
@@ -57,8 +56,6 @@ func TestPolicyInterleavings(t *testing.T) {
 				switch {
 				case s.digest != 0:
 					c.OnDigest(switchsim.Digest{Key: key(s.digest), Label: 1})
-				case s.touch != 0:
-					c.Touch(key(s.touch))
 				case s.install != 0:
 					c.Install(key(s.install))
 				case s.remove != 0:
@@ -126,9 +123,10 @@ func TestPolicyInterleavings(t *testing.T) {
 	}
 }
 
-// TestLRUTouchAcrossFlush pins that Flush resets recency state: a
-// Touch on a flushed key must not resurrect stale list nodes.
-func TestLRUTouchAcrossFlush(t *testing.T) {
+// TestLRURefreshAcrossFlush pins that Flush resets recency state: a
+// digest for a flushed key installs it anew instead of refreshing a
+// freed slab entry, and recency works normally afterwards.
+func TestLRURefreshAcrossFlush(t *testing.T) {
 	fs := newFakeSwitch()
 	c := New(fs, 2, LRU)
 	c.OnDigest(switchsim.Digest{Key: key(1), Label: 1})
@@ -136,19 +134,19 @@ func TestLRUTouchAcrossFlush(t *testing.T) {
 	if n := c.Flush(); n != 2 {
 		t.Fatalf("Flush removed %d, want 2", n)
 	}
-	c.Touch(key(1)) // must be a no-op, not a use of a freed element
-	if got := c.BlacklistLen(); got != 0 {
-		t.Fatalf("BlacklistLen=%d after post-flush Touch, want 0", got)
+	c.OnDigest(switchsim.Digest{Key: key(1), Label: 1})
+	if got := c.BlacklistLen(); got != 1 || !fs.installed[key(1).Canonical()] {
+		t.Fatalf("BlacklistLen=%d, key(1) installed=%v after a post-flush digest; want 1, true", got, fs.installed[key(1).Canonical()])
 	}
-	// The table works normally afterwards.
+	// The table works normally afterwards: key(1) is refreshed after
+	// key(3) arrives, so key(3) is the LRU victim of key(4).
 	c.OnDigest(switchsim.Digest{Key: key(3), Label: 1})
-	c.Touch(key(3))
+	c.OnDigest(switchsim.Digest{Key: key(1), Label: 1})
 	c.OnDigest(switchsim.Digest{Key: key(4), Label: 1})
-	c.OnDigest(switchsim.Digest{Key: key(5), Label: 1})
 	if fs.installed[key(3).Canonical()] {
 		t.Error("key(3) should be the LRU victim after the post-flush refill")
 	}
-	if !fs.installed[key(4).Canonical()] || !fs.installed[key(5).Canonical()] {
+	if !fs.installed[key(1).Canonical()] || !fs.installed[key(4).Canonical()] {
 		t.Error("wrong survivors after post-flush refill")
 	}
 }

@@ -115,26 +115,63 @@ func (k FlowKey) Fold() uint32 {
 }
 
 // CanonicalFoldOf extracts p's canonical flow key and its fold in one
-// pass: the two 64-bit endpoint lanes are loaded once and shared
-// between the canonical-order comparison and the hash, where calling
-// KeyOf + Canonical + FoldCanonical separately reloads them. This is
-// the ingest-path form; the three-step spelling remains for callers
-// that already hold a key.
+// call, for callers that want both as values (ProcessPacket, the
+// benchmark's fold probe). Both come straight from p's fields: the key
+// is written field by field into the result and never re-read, since a
+// wide load of a struct just built with 1-, 2- and 4-byte stores
+// cannot be forwarded from the store buffer and stalls. The serving
+// path does not call it; it uses PacketFold and CanonicalInto, which
+// build the key where it is stored.
 //
 //iguard:hotpath
-func CanonicalFoldOf(p *netpkt.Packet) (FlowKey, uint32) {
-	k := FlowKey{SrcIP: p.SrcIP, DstIP: p.DstIP, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Proto}
-	src := uint64(binary.BigEndian.Uint32(k.SrcIP[:]))<<16 | uint64(k.SrcPort)
-	dst := uint64(binary.BigEndian.Uint32(k.DstIP[:]))<<16 | uint64(k.DstPort)
-	if src > dst {
-		k = k.Reverse()
-		src, dst = dst, src
-	}
-	h := src*foldMulA ^ dst*foldMulB ^ uint64(k.Proto)
-	h ^= h >> 33
-	h *= foldMulC
-	h ^= h >> 29
-	return k, uint32(h ^ h>>32)
+func CanonicalFoldOf(p *netpkt.Packet) (k FlowKey, fold uint32) {
+	lo, hi := endpointLanes(p)
+	k.setLanes(lo, hi, p.Proto)
+	return k, foldLanes(lo, hi, p.Proto)
+}
+
+// PacketFold returns KeyOf(p).Canonical().FoldCanonical() from p's
+// fields, without building a key: the producer picks a packet's shard
+// with it before it knows which batch slot the key goes to.
+//
+//iguard:hotpath
+func PacketFold(p *netpkt.Packet) uint32 {
+	lo, hi := endpointLanes(p)
+	return foldLanes(lo, hi, p.Proto)
+}
+
+// CanonicalInto writes KeyOf(p).Canonical() into *k. Callers pass the
+// key's final home (a batch slot), so the key is built where it lives
+// and never copied out of a returned value.
+//
+//iguard:hotpath
+func CanonicalInto(k *FlowKey, p *netpkt.Packet) {
+	lo, hi := endpointLanes(p)
+	k.setLanes(lo, hi, p.Proto)
+}
+
+// endpointLanes returns p's endpoints as 48-bit (IP, port) lanes in
+// canonical order, the lower first. Picking them with min and max
+// rather than a branch keeps a flow's two directions from costing a
+// mispredict each.
+//
+//iguard:hotpath
+func endpointLanes(p *netpkt.Packet) (lo, hi uint64) {
+	src := uint64(binary.BigEndian.Uint32(p.SrcIP[:]))<<16 | uint64(p.SrcPort)
+	dst := uint64(binary.BigEndian.Uint32(p.DstIP[:]))<<16 | uint64(p.DstPort)
+	return min(src, dst), max(src, dst)
+}
+
+// setLanes writes the key whose endpoint lanes are lo (source) and hi
+// (destination), field by field.
+//
+//iguard:hotpath
+func (k *FlowKey) setLanes(lo, hi uint64, proto uint8) {
+	binary.BigEndian.PutUint32(k.SrcIP[:], uint32(lo>>16))
+	binary.BigEndian.PutUint32(k.DstIP[:], uint32(hi>>16))
+	k.SrcPort = uint16(lo)
+	k.DstPort = uint16(hi)
+	k.Proto = proto
 }
 
 // FoldCanonical is Fold without the canonicalisation step: the caller
@@ -149,7 +186,15 @@ func CanonicalFoldOf(p *netpkt.Packet) (FlowKey, uint32) {
 func (k FlowKey) FoldCanonical() uint32 {
 	src := uint64(binary.BigEndian.Uint32(k.SrcIP[:]))<<16 | uint64(k.SrcPort)
 	dst := uint64(binary.BigEndian.Uint32(k.DstIP[:]))<<16 | uint64(k.DstPort)
-	h := src*foldMulA ^ dst*foldMulB ^ uint64(k.Proto)
+	return foldLanes(src, dst, k.Proto)
+}
+
+// foldLanes is the fold of a canonical key given as its two endpoint
+// lanes (lo, the canonical source, first) and its protocol.
+//
+//iguard:hotpath
+func foldLanes(lo, hi uint64, proto uint8) uint32 {
+	h := lo*foldMulA ^ hi*foldMulB ^ uint64(proto)
 	h ^= h >> 33
 	h *= foldMulC
 	h ^= h >> 29

@@ -7,23 +7,27 @@ import (
 	"iguard/internal/mathx"
 )
 
+// benchProbes is how many probe vectors the match benchmarks draw. A
+// stream this long does not repeat within any window the branch
+// predictor can learn, so a data-dependent search pays for its
+// mispredicts as it would on live traffic; a short cycle of probes
+// would flatter branchy searches.
+const benchProbes = 1 << 16
+
 // benchCompiled builds a compiled whitelist of count random 4-feature
-// rules at the given quantiser width, plus a deterministic batch of
-// quantised probe vectors (a mix of hits and misses). At 12 bits it is
-// the PL-table shape the serving benchmarks replay against, with a
-// direct code table per feature; at 20 bits (the library default and
-// the bench model's width) Match locates features by float thresholds.
-func benchCompiled(count, bits int) (*CompiledRuleSet, [][]uint64) {
+// rules at the given quantiser width, plus a deterministic stream of
+// benchProbes quantised probe vectors (a mix of hits and misses),
+// stored back to back. At 12 bits it is the PL-table shape the serving
+// benchmarks replay against, with a direct code table per feature; at
+// 20 bits (the library default and the bench model's width) Match
+// locates features by float thresholds.
+func benchCompiled(count, bits int) (*CompiledRuleSet, []uint64) {
 	r := mathx.NewRand(int64(count))
 	c := Compile(randomRuleSet(r, 4, count), quantizerFor(4, bits))
-	probes := make([][]uint64, 256)
 	levels := int(c.Quantizer.Levels(0))
+	probes := make([]uint64, 4*benchProbes)
 	for i := range probes {
-		codes := make([]uint64, 4)
-		for d := range codes {
-			codes[d] = uint64(r.Intn(levels))
-		}
-		probes[i] = codes
+		probes[i] = uint64(r.Intn(levels))
 	}
 	return c, probes
 }
@@ -41,39 +45,39 @@ func BenchmarkMatch(b *testing.B) {
 		b.Run(fmt.Sprintf("impl=linear/rules=%d", count), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.matchCodesLinear(probes[i%len(probes)])
+				j := 4 * (i % benchProbes)
+				c.matchCodesLinear(probes[j : j+4])
 			}
 		})
 		b.Run(fmt.Sprintf("impl=bitvector/rules=%d", count), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.MatchCodes(probes[i%len(probes)])
+				j := 4 * (i % benchProbes)
+				c.MatchCodes(probes[j : j+4])
 			}
 		})
 	}
 }
 
 // BenchmarkMatchFloat measures the full float→verdict path — what the
-// switch pipeline's classify arms pay per packet. At 12 bits Match
-// quantises each feature and loads its direct code table; at 20 bits it
-// binary-searches each feature's float thresholds.
+// switch pipeline's classify arms pay per packet — over a stream of
+// benchProbes seeded float vectors. At 12 bits Match quantises each
+// feature and loads its direct code table; at 20 bits it searches each
+// feature's float thresholds.
 func BenchmarkMatchFloat(b *testing.B) {
 	for _, bits := range []int{12, 20} {
 		for _, count := range []int{16, 128, 1024} {
 			c, _ := benchCompiled(count, bits)
 			r := mathx.NewRand(9)
-			xs := make([][]float64, 256)
+			xs := make([]float64, 4*benchProbes)
 			for i := range xs {
-				x := make([]float64, 4)
-				for d := range x {
-					x[d] = r.Float64() * 100
-				}
-				xs[i] = x
+				xs[i] = r.Float64() * 100
 			}
 			b.Run(fmt.Sprintf("bits=%d/rules=%d", bits, count), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					c.Match(xs[i%len(xs)])
+					j := 4 * (i % benchProbes)
+					c.Match(xs[j : j+4])
 				}
 			})
 		}

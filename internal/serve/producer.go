@@ -8,7 +8,9 @@ package serve
 // feed cores. Canonical flow keys and key folds are computed here, on
 // the producer side (or arrive precomputed from Replay's decode
 // workers), so parsing and hashing overlap the shard workers'
-// matching.
+// matching. A packet's fold picks its shard first, and its key is then
+// written straight into the chosen batch slot, never built elsewhere
+// and copied (see enqueue).
 
 import (
 	"sync/atomic"
@@ -88,8 +90,7 @@ func (p *Producer) IngestBatch(pkts []netpkt.Packet) (accepted, dropped uint64, 
 		return 0, 0, ErrClosed
 	}
 	for i := range pkts {
-		key, fold := features.CanonicalFoldOf(&pkts[i])
-		p.enqueue(&pkts[i], key, fold)
+		p.enqueue(&pkts[i], nil, features.PacketFold(&pkts[i]))
 	}
 	p.endCall()
 	return uint64(len(pkts)), 0, nil
@@ -105,7 +106,7 @@ func (p *Producer) ingestDecoded(pkts []netpkt.Packet, keys []features.FlowKey, 
 		return ErrClosed
 	}
 	for i := range pkts {
-		p.enqueue(&pkts[i], keys[i], folds[i])
+		p.enqueue(&pkts[i], &keys[i], folds[i])
 	}
 	p.endCall()
 	return nil
@@ -124,17 +125,26 @@ func (p *Producer) endCall() {
 }
 
 // enqueue advances the lane's clock to the packet, copies it into the
-// lane's pending batch for its shard, and hands the batch off when it
-// fills. Lane goroutine only.
+// lane's pending batch for the shard its fold picks, and hands the
+// batch off when it fills. key is the packet's canonical flow key when
+// a decode worker already built one, or nil: then the key is written
+// from the packet's fields straight into its batch slot. Building it
+// in a local and copying it there would re-read, with wide loads, a
+// struct just written with narrow stores, a store-forwarding stall on
+// every packet. Lane goroutine only.
 //
 //iguard:hotpath
-func (p *Producer) enqueue(pkt *netpkt.Packet, key features.FlowKey, fold uint32) {
+func (p *Producer) enqueue(pkt *netpkt.Packet, key *features.FlowKey, fold uint32) {
 	p.observe(pkt.Timestamp)
 	shard := p.s.shardOf(fold)
 	r := &p.rings[shard]
 	b := r.bufs[r.i]
 	b.pkts[b.n] = *pkt
-	b.keys[b.n] = key
+	if key != nil {
+		b.keys[b.n] = *key
+	} else {
+		features.CanonicalInto(&b.keys[b.n], pkt)
+	}
 	b.folds[b.n] = fold
 	b.seqs[b.n] = p.nextSeq
 	b.n++

@@ -3,8 +3,8 @@ package serve
 // This file is the server's stream ingest: Replay reads a Source on
 // one goroutine, computes each packet's canonical flow key and key
 // fold on decode workers, and serves the decoded batches to one
-// consumer per producer lane, so parsing and CanonicalFoldOf hashing
-// run concurrently with the lanes' routing and the shards' matching.
+// consumer per producer lane, so parsing and key folding run
+// concurrently with the lanes' routing and the shards' matching.
 
 import (
 	"context"
@@ -128,7 +128,8 @@ func (ps *parallelBatchSource) decodeWorker() {
 	defer ps.wg.Done()
 	for db := range ps.fill {
 		for i := range db.pkts {
-			db.keys[i], db.folds[i] = features.CanonicalFoldOf(&db.pkts[i])
+			db.folds[i] = features.PacketFold(&db.pkts[i])
+			features.CanonicalInto(&db.keys[i], &db.pkts[i])
 		}
 		select {
 		case ps.out <- db:

@@ -229,3 +229,126 @@ func TestProcessBatchGrowthAllocationFree(t *testing.T) {
 		t.Fatalf("trace missed the PL-matched paths or sweep releases (counters %+v); the assertion is vacuous", sw.Counters)
 	}
 }
+
+// TestProcessBatchOverwritesStaleDecisions is the stale-field guard:
+// ProcessBatch writes each decision into out[i] in place, so a path
+// that leaves a field unwritten would leak whatever out held before.
+// Each case drives a one-slot-per-table switch into one arm of one
+// path and ends on the packet that takes it; every packet of the
+// script must decide the same through ProcessBatch, into an out slice
+// pre-filled with non-zero garbage, as through ProcessPacket. The
+// benign flavour keeps its flows whitelisted, the malicious one fails
+// both whitelists, so Predicted and Dropped take both values. A
+// zero-filled out cannot catch an unwritten field that should be zero,
+// and the BatchSize 1 reference runs the same code, so neither would.
+func TestProcessBatchOverwritesStaleDecisions(t *testing.T) {
+	garbage := Decision{
+		Path: Path(99), Predicted: 7, Dropped: true, Recirculated: true,
+		Digest:    Digest{Key: features.FlowKey{SrcIP: [4]byte{9, 9, 9, 9}, SrcPort: 9, Proto: 9}, Label: 9},
+		HasDigest: true,
+	}
+	const ms = time.Millisecond
+	type step struct {
+		flow byte
+		at   time.Duration
+	}
+	cases := []struct {
+		name      string
+		blacklist bool // blacklist the script's first flow before it runs
+		script    []step
+		// arm reports whether the script's last packet took the arm the
+		// case is named for, from its decision and the counters it
+		// moved on the reference switch.
+		arm func(d Decision, delta Counters) bool
+	}{
+		{"red", true, []step{{1, 0}},
+			func(d Decision, c Counters) bool { return c.PathCounts[PathRed] == 1 }},
+		{"brown/admit", false, []step{{1, 0}},
+			func(d Decision, c Counters) bool { return c.PathCounts[PathBrown] == 1 }},
+		{"brown/resident", false, []step{{1, 0}, {1, ms}},
+			func(d Decision, c Counters) bool { return c.PathCounts[PathBrown] == 1 }},
+		{"blue/threshold", false, []step{{1, 0}, {1, ms}, {1, 2 * ms}},
+			func(d Decision, c Counters) bool { return c.PathCounts[PathBlue] == 1 && d.HasDigest }},
+		{"blue/timeout", false, []step{{1, 0}, {1, ms}, {1, 200 * ms}},
+			func(d Decision, c Counters) bool { return c.PathCounts[PathBlue] == 1 && d.HasDigest }},
+		{"purple", false, []step{{1, 0}, {1, ms}, {1, 2 * ms}, {1, 3 * ms}},
+			func(d Decision, c Counters) bool { return c.PathCounts[PathPurple] == 1 }},
+		{"purple/label-timeout", false, []step{{1, 0}, {1, ms}, {1, 2 * ms}, {1, 200 * ms}},
+			func(d Decision, c Counters) bool {
+				return c.PathCounts[PathBrown] == 1 && c.PathCounts[PathPurple] == 0
+			}},
+		{"orange/timed-out-victim", false, []step{{1, 0}, {2, ms}, {3, 200 * ms}},
+			func(d Decision, c Counters) bool { return c.PathCounts[PathOrange] == 1 && c.Digests == 1 }},
+		{"orange/classified-victim", false, []step{{1, 0}, {1, ms}, {1, 2 * ms}, {2, 3 * ms}, {3, 4 * ms}},
+			func(d Decision, c Counters) bool {
+				return c.PathCounts[PathOrange] == 1 && c.PathCounts[PathGreen] == 1 && c.Digests == 0
+			}},
+		{"orange/hard-collision", false, []step{{1, 0}, {2, ms}, {3, 2 * ms}},
+			func(d Decision, c Counters) bool { return c.PathCounts[PathOrange] == 1 && c.HardCollisions == 1 }},
+	}
+	for _, malicious := range []bool{false, true} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/malicious=%v", tc.name, malicious), func(t *testing.T) {
+				pkts := make([]netpkt.Packet, len(tc.script))
+				for i, s := range tc.script {
+					pkts[i] = mkPkt(s.flow, 1000+uint16(s.flow), 100, s.at)
+					if malicious {
+						pkts[i].Length = 1400
+						pkts[i].DstPort = 9999
+					}
+				}
+				keys, folds := keysAndFolds(pkts)
+				mk := func() *Switch {
+					sw := New(Config{
+						Slots:         1, // every flow shares both candidate slots
+						PktThreshold:  3,
+						Timeout:       50 * ms,
+						FLRules:       flRulesAllowSmall(),
+						PLRules:       plRulesAllowPort(),
+						DropMalicious: true,
+					})
+					if tc.blacklist {
+						sw.InstallBlacklist(features.KeyOf(&pkts[0]))
+					}
+					return sw
+				}
+
+				ref := mk()
+				want := make([]Decision, len(pkts))
+				var before Counters
+				for i := range pkts {
+					before = ref.Counters
+					want[i] = ref.ProcessPacket(&pkts[i])
+				}
+				delta := ref.Counters
+				for i := range delta.PathCounts {
+					delta.PathCounts[i] -= before.PathCounts[i]
+				}
+				delta.Digests -= before.Digests
+				delta.HardCollisions -= before.HardCollisions
+				if last := want[len(want)-1]; !tc.arm(last, delta) {
+					t.Fatalf("script missed its arm: last decision %+v, counter delta %+v", last, delta)
+				}
+
+				sw := mk()
+				got := make([]Decision, len(pkts))
+				for i := range got {
+					got[i] = garbage
+				}
+				// One packet per call, as the arm's packet must decide
+				// into a slot that already holds garbage.
+				for i := range pkts {
+					sw.ProcessBatch(pkts[i:i+1], keys[i:i+1], folds[i:i+1], got[i:i+1])
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("packet %d: batch decision %+v, single %+v", i, got[i], want[i])
+					}
+				}
+				if sw.Counters != ref.Counters {
+					t.Errorf("counters diverge: batch %+v, single %+v", sw.Counters, ref.Counters)
+				}
+			})
+		}
+	}
+}

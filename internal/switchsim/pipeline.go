@@ -304,12 +304,10 @@ func (sw *Switch) classifyPL(p *netpkt.Packet) int {
 }
 
 // emitDigest sends the flow verdict to the controller.
-func (sw *Switch) emitDigest(key features.FlowKey, label int) Digest {
-	d := Digest{Key: key, Label: label}
+func (sw *Switch) emitDigest(key features.FlowKey, label int) {
 	sw.Counters.Digests++
 	sw.Counters.DigestBytes += DigestBytes
-	sw.notifySink(d)
-	return d
+	sw.notifySink(Digest{Key: key, Label: label})
 }
 
 // notifySink hands a digest to the configured DigestSink. The sink is
@@ -341,7 +339,9 @@ func (sw *Switch) mirrorToCPU(p *netpkt.Packet) {
 //iguard:hotpath
 func (sw *Switch) ProcessPacket(p *netpkt.Packet) Decision {
 	key, fold := features.CanonicalFoldOf(p)
-	return sw.processOne(p, key, fold)
+	var d Decision
+	sw.processOne(p, key, fold, &d)
+	return d
 }
 
 // ProcessBatch runs a batch of packets through the pipeline, writing
@@ -350,22 +350,29 @@ func (sw *Switch) ProcessPacket(p *netpkt.Packet) Decision {
 // byte-identical to calling ProcessPacket on each packet in order,
 // because both run the same walk. keys[i] is pkts[i]'s canonical flow
 // key and folds[i] its FoldCanonical value, both computed once by the
-// caller (features.CanonicalFoldOf; the serve producer needs them for
-// shard routing anyway), so the switch never hashes a key twice. keys
-// and folds must each hold at least len(pkts) entries. Same ownership
-// contract as ProcessPacket.
+// caller (the serve producer needs them for shard routing anyway), so
+// the switch never hashes a key twice. keys and folds must each hold
+// at least len(pkts) entries. Each decision is written field by field
+// into out[i] itself, overwriting every field whatever out held
+// before; a decision returned by value would be built with narrow
+// stores on the stack and then copied out with wide loads, which
+// stalls on store forwarding once per packet. Same ownership contract
+// as ProcessPacket.
 //
 //iguard:hotpath
 func (sw *Switch) ProcessBatch(pkts []netpkt.Packet, keys []features.FlowKey, folds []uint32, out []Decision) {
 	for i := range pkts {
-		out[i] = sw.processOne(&pkts[i], keys[i], folds[i])
+		sw.processOne(&pkts[i], keys[i], folds[i], &out[i])
 	}
 }
 
 // processOne is the pipeline walk shared by ProcessPacket and
 // ProcessBatch: key is the packet's canonical flow key and fold its
-// FoldCanonical value, both computed once by the caller.
-func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32) Decision {
+// FoldCanonical value, both computed once by the caller. It zeroes *d
+// first and then sets the fields the path taken decides, so no field
+// keeps what *d held before.
+func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32, d *Decision) {
+	*d = Decision{}
 	sw.Counters.Packets++
 	now := p.Timestamp.UnixNano()
 	// Red path: blacklist match, probed with the fold the packet
@@ -375,7 +382,8 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 		sw.Counters.Drops++
 		// Blacklisted flows are always blocked, independent of the
 		// drop-vs-quarantine policy for whitelist misses.
-		return Decision{Path: PathRed, Predicted: 1, Dropped: true}
+		d.Path, d.Predicted, d.Dropped = PathRed, 1, true
+		return
 	}
 
 	resident, free, victims, nVictims := sw.lookup(key, fold)
@@ -383,41 +391,38 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 	if resident != nil {
 		// Timeout of the resident flow itself (blue path, timeout arm).
 		if resident.label == -1 && resident.state.IdleFor(now, sw.cfg.Timeout) {
-			return sw.bluePath(resident, p, now, true)
+			sw.bluePath(resident, p, now, true, d)
+			return
 		}
 		if resident.label >= 0 {
 			// Purple path: early decision from the flow label register.
 			// Label storage itself times out to keep slots reusable.
 			if time.Duration(now-resident.lastSeen) > sw.cfg.Timeout {
 				*resident = slot{}
-				return sw.admit(p, key, resident, now)
+				sw.admit(p, key, resident, now, d)
+				return
 			}
 			resident.lastSeen = now
 			sw.Counters.PathCounts[PathPurple]++
-			dropped := resident.label == 1 && sw.cfg.DropMalicious
-			if dropped {
-				sw.Counters.Drops++
-			}
-			return Decision{Path: PathPurple, Predicted: int(resident.label), Dropped: dropped}
+			sw.decide(d, PathPurple, int(resident.label))
+			return
 		}
 		// Accumulating flow: add the packet.
 		resident.state.AddAt(p, now)
 		resident.lastSeen = now
 		if resident.state.Count >= sw.cfg.PktThreshold {
-			return sw.bluePath(resident, p, now, false)
+			sw.bluePath(resident, p, now, false, d)
+			return
 		}
 		// Brown path: early packets, PL-only match.
 		sw.Counters.PathCounts[PathBrown]++
-		verdict := sw.classifyPL(p)
-		dropped := verdict == 1 && sw.cfg.DropMalicious
-		if dropped {
-			sw.Counters.Drops++
-		}
-		return Decision{Path: PathBrown, Predicted: verdict, Dropped: dropped}
+		sw.decide(d, PathBrown, sw.classifyPL(p))
+		return
 	}
 
 	if free != nil {
-		return sw.admit(p, key, free, now)
+		sw.admit(p, key, free, now, d)
+		return
 	}
 
 	// Orange path: both candidate slots occupied by other flows.
@@ -429,10 +434,10 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 			sw.emitDigest(v.key, verdict)
 			sw.Counters.Recirculated++
 			*v = slot{}
-			d := sw.admit(p, key, v, now)
+			sw.admit(p, key, v, now, d)
 			d.Path = PathOrange
 			d.Recirculated = true
-			return d
+			return
 		}
 	}
 	// A classified victim (label 0/1) is evicted: clear and re-init with
@@ -443,28 +448,37 @@ func (sw *Switch) processOne(p *netpkt.Packet, key features.FlowKey, fold uint32
 			*v = slot{}
 			sw.Counters.Recirculated++
 			sw.Counters.PathCounts[PathGreen]++
-			d := sw.admit(p, key, v, now)
+			sw.admit(p, key, v, now, d)
 			d.Path = PathOrange
 			d.Recirculated = true
-			return d
+			return
 		}
 	}
 	// All victims still collecting (label -1): the incoming flow stays
 	// stateless; PL-only decision.
 	sw.Counters.HardCollisions++
-	verdict := sw.classifyPL(p)
-	dropped := verdict == 1 && sw.cfg.DropMalicious
-	if dropped {
+	sw.decide(d, PathOrange, sw.classifyPL(p))
+}
+
+// decide records a per-packet verdict taken on path into *d: the packet
+// is dropped when the verdict is malicious and the policy drops
+// (counted in Counters.Drops). The other fields of *d are left as they
+// are.
+func (sw *Switch) decide(d *Decision, path Path, verdict int) {
+	d.Path = path
+	d.Predicted = verdict
+	d.Dropped = verdict == 1 && sw.cfg.DropMalicious
+	if d.Dropped {
 		sw.Counters.Drops++
 	}
-	return Decision{Path: PathOrange, Predicted: verdict, Dropped: dropped}
 }
 
 // admit initialises a slot with the packet's flow and runs the
-// brown-path PL match (or blue when n == 1). key is the packet's
-// canonical flow key, computed once by processOne's caller and
-// threaded through rather than re-derived per admission.
-func (sw *Switch) admit(p *netpkt.Packet, key features.FlowKey, s *slot, now int64) Decision {
+// brown-path PL match (or blue when n == 1), writing the decision into
+// *d. key is the packet's canonical flow key, computed once by
+// processOne's caller and threaded through rather than re-derived per
+// admission.
+func (sw *Switch) admit(p *netpkt.Packet, key features.FlowKey, s *slot, now int64, d *Decision) {
 	s.valid = true
 	s.key = key
 	s.label = -1
@@ -473,26 +487,26 @@ func (sw *Switch) admit(p *netpkt.Packet, key features.FlowKey, s *slot, now int
 	s.state.AddAt(p, now)
 	s.lastSeen = now
 	if s.state.Count >= sw.cfg.PktThreshold {
-		return sw.bluePath(s, p, now, false)
+		sw.bluePath(s, p, now, false, d)
+		return
 	}
 	sw.Counters.PathCounts[PathBrown]++
-	verdict := sw.classifyPL(p)
-	dropped := verdict == 1 && sw.cfg.DropMalicious
-	if dropped {
-		sw.Counters.Drops++
-	}
-	return Decision{Path: PathBrown, Predicted: verdict, Dropped: dropped}
+	sw.decide(d, PathBrown, sw.classifyPL(p))
 }
 
 // bluePath classifies the flow (n-th packet or timeout), emits the
 // digest, clears the stateful storage, mirrors to the loopback port to
 // write the flow-label register (green path), and mirrors benign flows
-// to the CPU for whitelist updates. now is the packet's trace time in
-// Unix nanoseconds.
-func (sw *Switch) bluePath(s *slot, p *netpkt.Packet, now int64, timedOut bool) Decision {
+// to the CPU for whitelist updates, writing the decision into *d. now
+// is the packet's trace time in Unix nanoseconds.
+func (sw *Switch) bluePath(s *slot, p *netpkt.Packet, now int64, timedOut bool, d *Decision) {
 	sw.Counters.PathCounts[PathBlue]++
 	verdict := sw.classifyFL(s)
-	digest := sw.emitDigest(s.key, verdict)
+	sw.emitDigest(s.key, verdict)
+	d.Digest.Key = s.key
+	d.Digest.Label = verdict
+	d.HasDigest = true
+	d.Recirculated = true
 
 	// Loopback mirror updates the flow-label register (green path).
 	sw.Counters.Recirculated++
@@ -518,11 +532,7 @@ func (sw *Switch) bluePath(s *slot, p *netpkt.Packet, now int64, timedOut bool) 
 	if verdict == 0 {
 		sw.mirrorToCPU(p)
 	}
-	dropped := pktVerdict == 1 && sw.cfg.DropMalicious
-	if dropped {
-		sw.Counters.Drops++
-	}
-	return Decision{Path: PathBlue, Predicted: pktVerdict, Dropped: dropped, Recirculated: true, Digest: digest, HasDigest: true}
+	sw.decide(d, PathBlue, pktVerdict)
 }
 
 // SweepTimeouts runs the control-plane timeout sweep at the given trace
