@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"iguard/internal/autoencoder"
@@ -42,7 +41,6 @@ import (
 	"iguard/internal/core"
 	"iguard/internal/features"
 	"iguard/internal/mathx"
-	"iguard/internal/metrics"
 	"iguard/internal/netpkt"
 	"iguard/internal/parallel"
 	"iguard/internal/rules"
@@ -203,18 +201,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// ruleUniverse is the model-space feature box rules are generated over
-// (training features scale into [0, 1]).
-const (
-	ruleUniverseLo = -0.25
-	ruleUniverseHi = 1.75
-)
-
 // Detector is a trained iGuard pipeline.
 type Detector struct {
 	cfg      Config
 	prep     *features.Preprocess
-	plPrep   *features.Preprocess
 	ensemble *autoencoder.Ensemble
 	forest   *core.Forest
 	ruleSet  *rules.RuleSet
@@ -274,13 +264,7 @@ func TrainOnFeaturesContext(ctx context.Context, raw [][]float64, cfg Config) (*
 	d.prep = features.NewFLPreprocess()
 	trainX := d.prep.FitTransform(raw)
 
-	r := mathx.NewRand(cfg.Seed)
-	d.ensemble = autoencoder.NewEnsemble(
-		autoencoder.NewMagnifier(r, features.FLDim),
-		autoencoder.NewSymmetric(r, features.FLDim),
-	)
-	d.ensemble.Members[0].Weight = 0.6
-	d.ensemble.Members[1].Weight = 0.4
+	d.ensemble = autoencoder.NewGuide(mathx.NewRand(cfg.Seed), features.FLDim)
 	if err := d.ensemble.FitContext(ctx, trainX, autoencoder.TrainOptions{
 		Epochs: cfg.AEEpochs, BatchSize: cfg.AEBatch, LR: cfg.AELearningRate,
 		Rand: mathx.NewRand(cfg.Seed + 1), Parallelism: cfg.Parallelism,
@@ -290,7 +274,7 @@ func TrainOnFeaturesContext(ctx context.Context, raw [][]float64, cfg Config) (*
 	forestOpts := cfg.Forest
 	forestOpts.Seed = cfg.Seed + 2
 	forestOpts.Parallelism = cfg.Parallelism
-	forestOpts.Bounds = rules.FullBox(features.FLDim, ruleUniverseLo, ruleUniverseHi)
+	forestOpts.Bounds = features.Universe(features.FLDim)
 	kGrid := cfg.AugmentGrid
 	if len(kGrid) == 0 {
 		kGrid = []int{forestOpts.Augment}
@@ -309,84 +293,37 @@ func TrainOnFeaturesContext(ctx context.Context, raw [][]float64, cfg Config) (*
 		return nil, err
 	}
 
-	universe := rules.FullBox(features.FLDim, ruleUniverseLo, ruleUniverseHi)
-	leaves := make([][]rules.Box, len(d.forest.Trees))
-	labels := make([][]int, len(d.forest.Trees))
-	for ti := range d.forest.Trees {
-		leaves[ti], labels[ti] = d.forest.LabelledLeafRegionsWithin(ti, universe)
-	}
-	rs, err := rules.GenerateVoted(universe, leaves, labels, rules.GenOptions{MaxCells: cfg.MaxRuleCells})
+	rs, err := d.forest.Rules(features.Universe(features.FLDim), rules.GenOptions{MaxCells: cfg.MaxRuleCells})
 	if err != nil {
 		return nil, err
 	}
 	d.ruleSet = rs
-	d.compiled = compileRaw(rs, d.prep, cfg.QuantBits)
+	d.compiled = d.prep.Compile(rs, cfg.QuantBits)
 	return d, nil
 }
 
 // selectByValidation grid-searches (k, T) by macro F1 on the labelled
-// validation set — the paper's §4.1 footnote-10 methodology. All
-// |tGrid| × |kGrid| candidates are independent and train concurrently:
-// each takes a read-only calibrated view of the ensemble (thresholds
-// precomputed from one shared sorted error slice per member) instead
-// of re-calibrating the live ensemble in place. Results land in
-// index-addressed slots and the argmax breaks ties by grid position,
-// exactly as the serial t-outer/k-inner loop did.
+// validation set — the paper's §4.1 footnote-10 methodology — with the
+// thresholds T_u calibrated on the benign training rows. core.Select
+// trains every candidate against a read-only calibrated view of the
+// ensemble; the ensemble is then left calibrated at the winning
+// quantile so guide predictions stay consistent with the forest.
 func (d *Detector) selectByValidation(ctx context.Context, trainX [][]float64, forestOpts core.Options, kGrid []int, cfg Config) error {
-	valX := make([][]float64, len(cfg.ValidationX))
-	for i, raw := range cfg.ValidationX {
-		valX[i] = d.prep.Transform(raw)
-	}
 	tGrid := cfg.ThresholdGrid
 	if len(tGrid) == 0 {
 		tGrid = []float64{cfg.CalibrationQuantile}
 	}
-	memberErrs := d.ensemble.MemberErrors(trainX)
-	for _, errs := range memberErrs {
-		sort.Float64s(errs)
+	thresholds := d.ensemble.QuantileThresholds(trainX, tGrid)
+	guides := make([]core.Guide, len(thresholds))
+	for i, ths := range thresholds {
+		guides[i] = d.ensemble.WithThresholds(ths)
 	}
-	thresholds := make([][]float64, len(tGrid))
-	for qi, q := range tGrid {
-		ths := make([]float64, len(memberErrs))
-		for mi, errs := range memberErrs {
-			ths[mi] = mathx.QuantileSorted(errs, q)
-		}
-		thresholds[qi] = ths
-	}
-	type candidate struct {
-		forest *core.Forest
-		f1     float64
-	}
-	cands := make([]candidate, len(tGrid)*len(kGrid))
-	err := parallel.For(ctx, cfg.Parallelism, len(cands), func(i int) error {
-		qi, ki := i/len(kGrid), i%len(kGrid)
-		guide := d.ensemble.WithThresholds(thresholds[qi])
-		opts := forestOpts
-		opts.Augment = kGrid[ki]
-		forest, err := core.FitContext(ctx, trainX, guide, opts)
-		if err != nil {
-			return err
-		}
-		var conf metrics.Confusion
-		for vi, x := range valX {
-			conf.Add(forest.Predict(x), cfg.ValidationY[vi])
-		}
-		cands[i] = candidate{forest: forest, f1: conf.MacroF1()}
-		return nil
-	})
+	forest, ti, err := core.Select(ctx, trainX, guides, kGrid, forestOpts, d.prep.TransformAll(cfg.ValidationX), cfg.ValidationY)
 	if err != nil {
 		return err
 	}
-	best := 0
-	for i := range cands {
-		if cands[i].f1 > cands[best].f1 {
-			best = i
-		}
-	}
-	d.forest = cands[best].forest
-	// Leave the ensemble calibrated at the winning quantile so guide
-	// predictions stay consistent with the selected forest.
-	d.ensemble.SetThresholds(thresholds[best/len(kGrid)])
+	d.forest = forest
+	d.ensemble.SetThresholds(thresholds[ti])
 	return nil
 }
 
@@ -449,37 +386,6 @@ func guideProbes(trainX [][]float64, seed int64) [][]float64 {
 		probes = append(probes, p)
 	}
 	return probes
-}
-
-// compileRaw mirrors the experiment harness's raw-domain compilation.
-func compileRaw(rs *rules.RuleSet, prep *features.Preprocess, bits int) *rules.CompiledRuleSet {
-	dim := rs.Dim
-	rawMin := make([]float64, dim)
-	rawMax := make([]float64, dim)
-	for i := 0; i < dim; i++ {
-		span := prep.RawMax[i] - prep.RawMin[i]
-		if span <= 0 {
-			rawMin[i] = prep.RawMin[i] - 1
-			rawMax[i] = prep.RawMin[i] + 1
-			continue
-		}
-		rawMin[i] = prep.RawMin[i] - 0.25*span
-		rawMax[i] = prep.RawMax[i] + 2*span
-	}
-	raw := &rules.RuleSet{Dim: dim, DefaultLabel: rs.DefaultLabel}
-	for _, r := range rs.Rules {
-		box := make(rules.Box, dim)
-		for i, iv := range r.Box {
-			span := prep.RawMax[i] - prep.RawMin[i]
-			if span <= 0 {
-				box[i] = rules.Interval{Lo: rawMin[i], Hi: rawMax[i]}
-				continue
-			}
-			box[i] = rules.Interval{Lo: prep.InverseEdge(i, iv.Lo), Hi: prep.InverseEdge(i, iv.Hi)}
-		}
-		raw.Rules = append(raw.Rules, rules.Rule{Box: box, Label: r.Label})
-	}
-	return rules.Compile(raw, rules.NewQuantizer(rawMin, rawMax, bits))
 }
 
 // ClassifyFlow labels one raw (unscaled) 13-dimensional flow-feature

@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"iguard/internal/mathx"
 	"iguard/internal/nn"
@@ -155,6 +156,18 @@ func NewEnsemble(models ...Model) *Ensemble {
 	return e
 }
 
+// NewGuide builds the guide ensemble iGuard trains (§3.2.1): the
+// Magnifier-style autoencoder, which App. A selects, weighted 0.6 so
+// its solo vote carries the ensemble, beside a symmetric autoencoder
+// weighted 0.4. Both members draw their initial weights from r, in
+// that order. Thresholds start at zero; calibrate after Fit.
+func NewGuide(r *rand.Rand, dim int) *Ensemble {
+	e := NewEnsemble(NewMagnifier(r, dim), NewSymmetric(r, dim))
+	e.Members[0].Weight = 0.6
+	e.Members[1].Weight = 0.4
+	return e
+}
+
 // Fit trains every member independently on the benign training set, as
 // the paper prescribes, deriving per-member seeds from opts.Rand so the
 // members do not share a random stream. Members train concurrently
@@ -201,9 +214,26 @@ func (e *Ensemble) MemberErrors(x [][]float64) [][]float64 {
 // grid-searches T; a high benign quantile (e.g. 0.95) is the standard
 // operating point.
 func (e *Ensemble) Calibrate(benign [][]float64, quantile float64) {
-	for i, res := range e.MemberErrors(benign) {
-		e.Members[i].Threshold = mathx.Quantile(res, quantile)
+	e.SetThresholds(e.QuantileThresholds(benign, []float64{quantile})[0])
+}
+
+// QuantileThresholds returns, for every quantile in qs, the per-member
+// thresholds Calibrate(benign, q) would install, leaving the ensemble
+// untouched: one MemberErrors pass over benign and one sort per member
+// serve the whole threshold grid.
+func (e *Ensemble) QuantileThresholds(benign [][]float64, qs []float64) [][]float64 {
+	errs := e.MemberErrors(benign)
+	for _, res := range errs {
+		sort.Float64s(res)
 	}
+	out := make([][]float64, len(qs))
+	for qi, q := range qs {
+		out[qi] = make([]float64, len(errs))
+		for mi, res := range errs {
+			out[qi][mi] = mathx.QuantileSorted(res, q)
+		}
+	}
+	return out
 }
 
 // SetThresholds installs per-member RMSE thresholds (same order as

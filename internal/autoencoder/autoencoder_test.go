@@ -257,3 +257,39 @@ func TestVAEReconstructionImproves(t *testing.T) {
 		t.Errorf("VAE training did not improve reconstruction: %v -> %v", before/50, after/50)
 	}
 }
+
+// TestQuantileThresholdsMatchCalibrate pins the threshold grid to
+// Calibrate's per-quantile thresholds bit for bit, and checks that
+// computing the grid leaves the ensemble's own thresholds alone.
+func TestQuantileThresholdsMatchCalibrate(t *testing.T) {
+	dim := 6
+	e := NewGuide(mathx.NewRand(50), dim)
+	e.Fit(benignCloud(51, 200, dim), trainOpts(52))
+	calib := benignCloud(53, 90, dim)
+	qs := []float64{0, 0.5, 0.9, 0.97, 1}
+	grid := e.QuantileThresholds(calib, qs)
+	for _, m := range e.Members {
+		if m.Threshold != 0 {
+			t.Fatalf("QuantileThresholds changed a member threshold to %v", m.Threshold)
+		}
+	}
+	for qi, q := range qs {
+		e.Calibrate(calib, q)
+		for mi, m := range e.Members {
+			errs := e.MemberErrors(calib)[mi]
+			if want := mathx.Quantile(errs, q); m.Threshold != want || grid[qi][mi] != want {
+				t.Errorf("q=%v member %d: Calibrate %v, grid %v, quantile %v", q, mi, m.Threshold, grid[qi][mi], want)
+			}
+		}
+	}
+}
+
+func TestNewGuideWeights(t *testing.T) {
+	e := NewGuide(mathx.NewRand(60), 8)
+	if len(e.Members) != 2 || e.Members[0].Model.Name() != "Magnifier" || e.Members[1].Model.Name() != "AE" {
+		t.Fatalf("guide members = %+v", e.Members)
+	}
+	if e.Members[0].Weight != 0.6 || e.Members[1].Weight != 0.4 {
+		t.Errorf("guide weights = %v, %v; want 0.6, 0.4", e.Members[0].Weight, e.Members[1].Weight)
+	}
+}

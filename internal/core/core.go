@@ -776,6 +776,19 @@ func (f *Forest) LabelledLeafRegionsWithin(ti int, root rules.Box) (boxes []rule
 	return boxes, labels
 }
 
+// Rules compiles the forest into its labelled rule set over universe
+// (§3.2.3): each tree's leaves, rooted at universe so boundary leaves
+// extend outward as routing does, feed the vote-aware generator, whose
+// rules therefore agree with Predict everywhere inside universe.
+func (f *Forest) Rules(universe rules.Box, opts rules.GenOptions) (*rules.RuleSet, error) {
+	leaves := make([][]rules.Box, len(f.Trees))
+	labels := make([][]int, len(f.Trees))
+	for ti := range f.Trees {
+		leaves[ti], labels[ti] = f.LabelledLeafRegionsWithin(ti, universe)
+	}
+	return rules.GenerateVoted(universe, leaves, labels, opts)
+}
+
 // Bounds returns the training bounding box of tree ti.
 func (f *Forest) Bounds(ti int) rules.Box { return f.Trees[ti].bounds }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"iguard/internal/core"
+	"iguard/internal/features"
 	"iguard/internal/metrics"
 	"iguard/internal/rules"
 	"iguard/internal/traffic"
@@ -123,13 +124,7 @@ func (l *Lab) RunAblationMerging(attack traffic.AttackName) (*AblationResult, er
 	if err != nil {
 		return nil, err
 	}
-	universe := rules.FullBox(len(ctx.Data.TrainX[0]), universeLo, universeHi)
-	leaves := make([][]rules.Box, len(ctx.Guard.Trees))
-	labels := make([][]int, len(ctx.Guard.Trees))
-	for ti := range ctx.Guard.Trees {
-		leaves[ti], labels[ti] = ctx.Guard.LabelledLeafRegionsWithin(ti, universe)
-	}
-	unmerged, err := rules.GenerateVoted(universe, leaves, labels, rules.GenOptions{
+	unmerged, err := ctx.Guard.Rules(features.Universe(features.FLDim), rules.GenOptions{
 		MaxCells:  l.Cfg.MaxCells,
 		SkipMerge: true,
 	})

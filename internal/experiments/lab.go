@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -9,7 +10,6 @@ import (
 	"iguard/internal/features"
 	"iguard/internal/iforest"
 	"iguard/internal/mathx"
-	"iguard/internal/metrics"
 	"iguard/internal/rules"
 	"iguard/internal/traffic"
 )
@@ -58,9 +58,9 @@ type LabConfig struct {
 	// with k by validation macro F1. Empty means CalibQuantile as-is.
 	GridT []float64
 
-	// Parallelism bounds the worker pool for ensemble-member and
-	// per-tree training (0 = GOMAXPROCS). Trained artefacts are
-	// identical for every value.
+	// Parallelism bounds the worker pool for ensemble-member,
+	// grid-candidate and per-tree training (0 = GOMAXPROCS). Trained
+	// artefacts are identical for every value.
 	Parallelism int
 }
 
@@ -245,20 +245,11 @@ func (l *Lab) buildWith(cfg LabConfig, attack traffic.AttackName, n int) (*Attac
 
 	// 1. Train the guide: the Magnifier-style ensemble (App. A selects
 	// Magnifier; we pair it with a symmetric AE as the second member).
-	r := mathx.NewRand(cfg.Data.Seed + 1000)
-	ctx.Ensemble = autoencoder.NewEnsemble(
-		autoencoder.NewMagnifier(r, features.FLDim),
-		autoencoder.NewSymmetric(r, features.FLDim),
-	)
-	// Magnifier is the stronger member (App. A); weight it so its solo
-	// vote carries the ensemble.
-	ctx.Ensemble.Members[0].Weight = 0.6
-	ctx.Ensemble.Members[1].Weight = 0.4
+	ctx.Ensemble = autoencoder.NewGuide(mathx.NewRand(cfg.Data.Seed+1000), features.FLDim)
 	ctx.Ensemble.Fit(ds.TrainX, autoencoder.TrainOptions{
 		Epochs: cfg.AEEpochs, BatchSize: cfg.AEBatch, LR: cfg.AELR,
 		Rand: mathx.NewRand(cfg.Data.Seed + 1001), Parallelism: cfg.Parallelism,
 	})
-	benignVal := benignOnly(ds.ValX, ds.ValY)
 
 	// 2. iGuard: guided training + distillation. Trees grow over the
 	// sub-sample's data bounds (footnote-7 augmentation stays
@@ -266,12 +257,13 @@ func (l *Lab) buildWith(cfg LabConfig, attack traffic.AttackName, n int) (*Attac
 	// off-range feature space gets its own distillation-labelled leaves.
 	// (k, T) is grid-searched per attack on validation macro F1
 	// (footnote 10): k sets the probe budget, the calibration quantile
-	// sets the ensemble thresholds T_u and with them how fat the guide's
-	// malicious region is.
+	// sets the ensemble thresholds T_u — taken over the benign
+	// validation rows — and with them how fat the guide's malicious
+	// region is.
 	guardOpts := cfg.GuardOpts
 	guardOpts.Seed = cfg.Data.Seed + 2000
 	guardOpts.Parallelism = cfg.Parallelism
-	guardOpts.Bounds = rules.FullBox(features.FLDim, universeLo, universeHi)
+	guardOpts.Bounds = features.Universe(features.FLDim)
 	kGrid := cfg.GridK
 	if len(kGrid) == 0 {
 		kGrid = []int{guardOpts.Augment}
@@ -280,35 +272,19 @@ func (l *Lab) buildWith(cfg LabConfig, attack traffic.AttackName, n int) (*Attac
 	if len(tGrid) == 0 {
 		tGrid = []float64{cfg.CalibQuantile}
 	}
-	bestF1 := -1.0
-	bestQ := tGrid[0]
-	for _, q := range tGrid {
-		ctx.Ensemble.Calibrate(benignVal, q)
-		for _, k := range kGrid {
-			opts := guardOpts
-			opts.Augment = k
-			candidate, err := core.Fit(ds.TrainX, ctx.Ensemble, opts)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: guard fit (k=%d, q=%v): %w", k, q, err)
-			}
-			preds := make([]int, len(ds.ValX))
-			for i, x := range ds.ValX {
-				preds[i] = candidate.Predict(x)
-			}
-			f1, err := metrics.MacroF1Score(preds, ds.ValY)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: validation F1 (k=%d, q=%v): %w", k, q, err)
-			}
-			if f1 > bestF1 {
-				bestF1 = f1
-				bestQ = q
-				ctx.Guard = candidate
-			}
-		}
+	thresholds := ctx.Ensemble.QuantileThresholds(benignOnly(ds.ValX, ds.ValY), tGrid)
+	guides := make([]core.Guide, len(thresholds))
+	for i, ths := range thresholds {
+		guides[i] = ctx.Ensemble.WithThresholds(ths)
 	}
+	guard, ti, err := core.Select(context.Background(), ds.TrainX, guides, kGrid, guardOpts, ds.ValX, ds.ValY)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: guard grid: %w", err)
+	}
+	ctx.Guard = guard
 	// Leave the ensemble calibrated at the winning quantile so guide
 	// predictions and leaf labels stay consistent with the forest.
-	ctx.Ensemble.Calibrate(benignVal, bestQ)
+	ctx.Ensemble.SetThresholds(thresholds[ti])
 
 	// 3. Conventional iForests.
 	cpuOpts := cfg.CPUIForestOpts

@@ -7,14 +7,6 @@ import (
 	"iguard/internal/rules"
 )
 
-// Model-space universe for rule generation: training data scales to
-// [0, 1], so this box comfortably contains every tree's bounds while
-// leaving the region beyond it default-malicious.
-const (
-	universeLo = -0.25
-	universeHi = 1.75
-)
-
 // buildRules generates and compiles the whitelist rule sets for the
 // iGuard forest, the switch-scale conventional iForest, and the
 // early-packet PL iForest.
@@ -26,13 +18,8 @@ func (l *Lab) buildRules(ctx *AttackContext) error {
 	// extended to the full universe so rules agree with forest routing
 	// everywhere. The vote-aware generator short-circuits cells whose
 	// majority is already decided.
-	universe := rules.FullBox(features.FLDim, universeLo, universeHi)
-	guardLeaves := make([][]rules.Box, len(ctx.Guard.Trees))
-	guardLabels := make([][]int, len(ctx.Guard.Trees))
-	for ti := range ctx.Guard.Trees {
-		guardLeaves[ti], guardLabels[ti] = ctx.Guard.LabelledLeafRegionsWithin(ti, universe)
-	}
-	guardRules, err := rules.GenerateVoted(universe, guardLeaves, guardLabels, genOpts)
+	universe := features.Universe(features.FLDim)
+	guardRules, err := ctx.Guard.Rules(universe, genOpts)
 	if err != nil {
 		return fmt.Errorf("experiments: iGuard rules: %w", err)
 	}
@@ -51,7 +38,7 @@ func (l *Lab) buildRules(ctx *AttackContext) error {
 	ctx.IFRules = ifRules
 
 	// PL rules for early packets (merged into both deployments, §3.3.1).
-	plUniverse := rules.FullBox(features.PLDim, universeLo, universeHi)
+	plUniverse := features.Universe(features.PLDim)
 	plLeaves := make([][]rules.Box, len(ctx.PLIForest.Trees))
 	for ti := range ctx.PLIForest.Trees {
 		plLeaves[ti] = ctx.PLIForest.LeafRegionsWithin(ti, plUniverse)
@@ -63,52 +50,8 @@ func (l *Lab) buildRules(ctx *AttackContext) error {
 	ctx.PLRules = plRules
 
 	// Compile to the raw switch domain.
-	ctx.GuardCompiled = CompileRaw(guardRules, ctx.Data.Prep, cfg.QuantBits)
-	ctx.IFCompiled = CompileRaw(ifRules, ctx.Data.Prep, cfg.QuantBits)
-	ctx.PLCompiled = CompileRaw(plRules, ctx.Data.PLPrep, cfg.QuantBits)
+	ctx.GuardCompiled = ctx.Data.Prep.Compile(guardRules, cfg.QuantBits)
+	ctx.IFCompiled = ctx.Data.Prep.Compile(ifRules, cfg.QuantBits)
+	ctx.PLCompiled = ctx.Data.PLPrep.Compile(plRules, cfg.QuantBits)
 	return nil
-}
-
-// CompileRaw maps a model-space rule set back to raw feature units via
-// the preprocessor (per-feature monotone, so boxes map to boxes) and
-// quantises it for TCAM installation. The quantiser spans the raw
-// training range with linear margins; rule edges beyond the quantiser
-// clamp to the edge codes, matching the forest's routing semantics
-// (boundary leaves extend outward). Constant features (zero training
-// span) carry no information: their intervals widen to the full
-// quantised range.
-func CompileRaw(rs *rules.RuleSet, prep *features.Preprocess, bits int) *rules.CompiledRuleSet {
-	dim := rs.Dim
-	rawMin := make([]float64, dim)
-	rawMax := make([]float64, dim)
-	for i := 0; i < dim; i++ {
-		span := prep.RawMax[i] - prep.RawMin[i]
-		if span <= 0 {
-			rawMin[i] = prep.RawMin[i] - 1
-			rawMax[i] = prep.RawMin[i] + 1
-			continue
-		}
-		// Quartile of margin below (many features are bounded at 0
-		// anyway), a couple of spans above for attack headroom.
-		rawMin[i] = prep.RawMin[i] - 0.25*span
-		rawMax[i] = prep.RawMax[i] + 2*span
-	}
-	raw := &rules.RuleSet{Dim: dim, DefaultLabel: rs.DefaultLabel}
-	for _, r := range rs.Rules {
-		box := make(rules.Box, dim)
-		for i, iv := range r.Box {
-			span := prep.RawMax[i] - prep.RawMin[i]
-			if span <= 0 {
-				box[i] = rules.Interval{Lo: rawMin[i], Hi: rawMax[i]}
-				continue
-			}
-			box[i] = rules.Interval{
-				Lo: prep.InverseEdge(i, iv.Lo),
-				Hi: prep.InverseEdge(i, iv.Hi),
-			}
-		}
-		raw.Rules = append(raw.Rules, rules.Rule{Box: box, Label: r.Label})
-	}
-	q := rules.NewQuantizer(rawMin, rawMax, bits)
-	return rules.Compile(raw, q)
 }

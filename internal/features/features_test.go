@@ -52,10 +52,10 @@ func TestFlowKeySamePortsDifferentIPs(t *testing.T) {
 func TestBiHashSymmetric(t *testing.T) {
 	p := pkt(1, 2, 1234, 443, netpkt.ProtoTCP, 100, 0)
 	k := KeyOf(&p)
-	if k.BiHash(0) != k.Reverse().BiHash(0) {
+	if BiHashFold(k.Fold(), 0) != BiHashFold(k.Reverse().Fold(), 0) {
 		t.Error("bi-hash not direction independent")
 	}
-	if k.BiHash(0) == k.BiHash(1) {
+	if BiHashFold(k.Fold(), 0) == BiHashFold(k.Fold(), 1) {
 		t.Error("different seeds should (almost surely) differ")
 	}
 	if i := IndexFold(k.Fold(), 0, 1024); i < 0 || i >= 1024 {

@@ -101,8 +101,8 @@ const (
 )
 
 // Fold digests the canonicalised 13-byte key with FNV-1a — the
-// seed-independent prefix of the bi-hash. Like BiHash it is symmetric
-// (both flow directions fold to the same value). Callers that index
+// seed-independent prefix of the bi-hash (BiHashFold). It is symmetric:
+// both flow directions fold to the same value. Callers that index
 // several seeded tables with one key (the switch's double-hash lookup,
 // the serving runtime's shard router) compute the fold once and
 // finalise it per seed with BiHashFold, paying the 13-byte walk once
@@ -201,9 +201,14 @@ func foldLanes(lo, hi uint64, proto uint8) uint32 {
 	return uint32(h ^ h>>32)
 }
 
-// BiHashFold finalises a Fold with a table seed, decorrelating the
-// per-table indices the double-hash scheme derives from one key.
-// BiHash(seed) == BiHashFold(Fold(), seed) by construction.
+// BiHashFold implements HorusEye's bi-hash as BiHashFold(k.Fold(),
+// seed): a symmetric hash over the canonicalised 5-tuple, so both flow
+// directions index the same switch register slot. seed lets the
+// double-hash scheme derive its second table index. It finalises the
+// seed-independent key digest (Fold) per seed, so callers indexing
+// several seeded tables with one key digest it once. Everything is
+// inlined multiply-mix arithmetic — hash/fnv's New32a would put an
+// allocation and an interface dispatch on the per-packet path.
 //
 //iguard:hotpath
 func BiHashFold(fold, seed uint32) uint32 {
@@ -211,20 +216,6 @@ func BiHashFold(fold, seed uint32) uint32 {
 	h ^= h >> 33
 	h *= foldMulB
 	return uint32(h ^ h>>32)
-}
-
-// BiHash implements HorusEye's bi-hash: a symmetric hash over the
-// canonicalised 5-tuple, so both flow directions index the same switch
-// register slot. seed lets the double-hash scheme derive its second
-// table index. It factors as a seed-independent key digest (Fold)
-// plus a per-seed finaliser (BiHashFold), so callers indexing several
-// seeded tables with one key digest it once. Everything is inlined
-// multiply-mix arithmetic — hash/fnv's New32a would put an allocation
-// and an interface dispatch on the per-packet path.
-//
-//iguard:hotpath
-func (k FlowKey) BiHash(seed uint32) uint32 {
-	return BiHashFold(k.Fold(), seed)
 }
 
 // IndexFold maps an already-folded key into a seeded table of the

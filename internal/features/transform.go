@@ -3,6 +3,8 @@ package features
 import (
 	"fmt"
 	"math"
+
+	"iguard/internal/rules"
 )
 
 // logEps keeps log10 defined at zero.
@@ -120,6 +122,56 @@ func (p *Preprocess) FitTransform(raw [][]float64) [][]float64 {
 // raw domain (monotone, so rule-box edges map to rule-box edges).
 func (p *Preprocess) InverseEdge(i int, v float64) float64 {
 	return p.inverse(i, p.Scaler.Min[i]+v*(p.Scaler.Max[i]-p.Scaler.Min[i]))
+}
+
+// The model-space universe rules are generated over: training data
+// scales into [0, 1], so this box contains every tree's bounds while
+// leaving the region beyond it default-malicious.
+const (
+	universeLo = -0.25
+	universeHi = 1.75
+)
+
+// Universe returns the dim-dimensional model-space rule universe.
+func Universe(dim int) rules.Box { return rules.FullBox(dim, universeLo, universeHi) }
+
+// Compile maps a model-space rule set back to raw feature units (the
+// preprocessing is monotone per feature, so boxes map to boxes) and
+// quantises it at bits per feature for TCAM installation. The quantiser
+// spans the raw training range with linear margins; rule edges beyond
+// the quantiser clamp to the edge codes, matching the forest's routing
+// semantics (boundary leaves extend outward). Constant features (zero
+// training span) carry no information: their intervals widen to the
+// full quantised range.
+func (p *Preprocess) Compile(rs *rules.RuleSet, bits int) *rules.CompiledRuleSet {
+	dim := rs.Dim
+	rawMin := make([]float64, dim)
+	rawMax := make([]float64, dim)
+	for i := 0; i < dim; i++ {
+		span := p.RawMax[i] - p.RawMin[i]
+		if span <= 0 {
+			rawMin[i] = p.RawMin[i] - 1
+			rawMax[i] = p.RawMin[i] + 1
+			continue
+		}
+		// A quarter span of margin below (many features are bounded at
+		// 0 anyway), two spans above for attack headroom.
+		rawMin[i] = p.RawMin[i] - 0.25*span
+		rawMax[i] = p.RawMax[i] + 2*span
+	}
+	raw := &rules.RuleSet{Dim: dim, DefaultLabel: rs.DefaultLabel}
+	for _, r := range rs.Rules {
+		box := make(rules.Box, dim)
+		for i, iv := range r.Box {
+			if p.RawMax[i]-p.RawMin[i] <= 0 {
+				box[i] = rules.Interval{Lo: rawMin[i], Hi: rawMax[i]}
+				continue
+			}
+			box[i] = rules.Interval{Lo: p.InverseEdge(i, iv.Lo), Hi: p.InverseEdge(i, iv.Hi)}
+		}
+		raw.Rules = append(raw.Rules, rules.Rule{Box: box, Label: r.Label})
+	}
+	return rules.Compile(raw, rules.NewQuantizer(rawMin, rawMax, bits))
 }
 
 // Dim returns the fitted feature count.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"iguard/internal/rules"
 )
 
 func TestPreprocessLogRoundTrip(t *testing.T) {
@@ -116,5 +118,41 @@ func TestPreprocessRawRangeRecorded(t *testing.T) {
 	}
 	if p.RawMin[1] != 0.1 || p.RawMax[1] != 10 {
 		t.Errorf("raw range f1 = [%v, %v]", p.RawMin[1], p.RawMax[1])
+	}
+}
+
+func TestPreprocessCompileAgreesWithFloatRules(t *testing.T) {
+	// A simple rule set over 2 features with a log-scaled second feature.
+	prep := &Preprocess{LogMask: []bool{false, true}}
+	raw := [][]float64{{0, 0.001}, {10, 0.01}, {20, 0.1}, {30, 1}, {40, 10}}
+	prep.Fit(raw)
+	model := prep.TransformAll(raw)
+
+	// Whitelist the middle of model space.
+	box := rules.NewBox([]float64{0.2, 0.2}, []float64{0.8, 0.8})
+	rs := &rules.RuleSet{Rules: []rules.Rule{{Box: box, Label: 0}}, Dim: 2, DefaultLabel: 1}
+	compiled := prep.Compile(rs, 14)
+
+	for i, m := range model {
+		want := rs.Match(m)
+		got := compiled.Match(raw[i])
+		if got != want {
+			t.Errorf("sample %d: compiled=%d float=%d", i, got, want)
+		}
+	}
+}
+
+func TestPreprocessCompileConstantFeature(t *testing.T) {
+	prep := &Preprocess{LogMask: []bool{false, false}}
+	prep.Fit([][]float64{{5, 1}, {5, 2}})
+	box := rules.NewBox([]float64{-0.25, 0}, []float64{1.75, 0.5})
+	rs := &rules.RuleSet{Rules: []rules.Rule{{Box: box, Label: 0}}, Dim: 2, DefaultLabel: 1}
+	compiled := prep.Compile(rs, 8)
+	// Constant feature is uninformative: match decided by feature 2.
+	if got := compiled.Match([]float64{5, 1.2}); got != 0 {
+		t.Errorf("in-range match = %d", got)
+	}
+	if got := compiled.Match([]float64{5, 1.9}); got != 1 {
+		t.Errorf("out-of-range match = %d", got)
 	}
 }

@@ -277,12 +277,6 @@ func (f *Forest) CalibrateThreshold(calib [][]float64, contamination float64) {
 	f.Threshold = mathx.Quantile(scores, 1-contamination)
 }
 
-// LeafRegions returns every leaf's feature box for tree ti, rooted at
-// the tree's training bounding box. The boxes tile the bounding box.
-func (f *Forest) LeafRegions(ti int) []rules.Box {
-	return f.LeafRegionsWithin(ti, f.Trees[ti].bounds)
-}
-
 // LeafRegionsWithin returns tree ti's leaf boxes rooted at an explicit
 // outer box (e.g. the full quantised feature domain for rule
 // generation): boundary leaves extend to the box edges exactly as the

@@ -156,7 +156,7 @@ func TestLeafRegionsTileBounds(t *testing.T) {
 	f := Fit(benign, Options{Trees: 5, SubSample: 64, Seed: 17})
 	r := mathx.NewRand(18)
 	for ti := range f.Trees {
-		regions := f.LeafRegions(ti)
+		regions := f.LeafRegionsWithin(ti, f.Trees[ti].bounds)
 		if len(regions) == 0 {
 			t.Fatalf("tree %d has no leaf regions", ti)
 		}
@@ -186,7 +186,7 @@ func TestLeafRegionVolumesSumToBounds(t *testing.T) {
 	f := Fit(benign, Options{Trees: 3, SubSample: 32, Seed: 19})
 	for ti := range f.Trees {
 		total := 0.0
-		for _, reg := range f.LeafRegions(ti) {
+		for _, reg := range f.LeafRegionsWithin(ti, f.Trees[ti].bounds) {
 			total += reg.Volume()
 		}
 		want := f.Trees[ti].bounds.Volume()

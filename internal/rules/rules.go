@@ -49,12 +49,6 @@ func (rs *RuleSet) Whitelist() []Rule {
 	return out
 }
 
-// WhitelistSet returns a RuleSet holding only the benign rules with a
-// malicious default — the exact artefact installed in the data plane.
-func (rs *RuleSet) WhitelistSet() *RuleSet {
-	return &RuleSet{Rules: rs.Whitelist(), Dim: rs.Dim, DefaultLabel: 1}
-}
-
 // Merge merges the rule sets (e.g. the FL rules with the early-packet PL
 // rules from §3.3.1); the receiver's rules take precedence on overlap
 // because Match scans in order.

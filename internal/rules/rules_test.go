@@ -216,10 +216,6 @@ func TestWhitelistAndMerge(t *testing.T) {
 	if len(wl) != 1 || wl[0].Label != 0 {
 		t.Errorf("Whitelist = %+v", wl)
 	}
-	ws := rs.WhitelistSet()
-	if ws.Len() != 1 || ws.DefaultLabel != 1 {
-		t.Errorf("WhitelistSet = %+v", ws)
-	}
 	other := &RuleSet{Rules: []Rule{{Box: NewBox([]float64{5}, []float64{6}), Label: 0}}, Dim: 1, DefaultLabel: 1}
 	merged := rs.Merge(other)
 	if merged.Len() != 3 {

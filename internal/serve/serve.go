@@ -41,9 +41,10 @@
 //
 // Concurrency contract: each Producer (and Replay, which occupies
 // every lane) must be driven from one goroutine at a time, but
-// distinct lanes run concurrently. Swap, FlushBlacklists, and Stats
-// are control-plane operations for one supervising goroutine; they may
-// run concurrently with producers (they are barriers relative to
+// distinct lanes run concurrently. Swap and Stats are control-plane
+// operations for one supervising goroutine, and the Apply* calls
+// (ApplyInstall, ApplyRemove, ApplyFlush) are safe from any goroutine;
+// all may run concurrently with producers (they are barriers relative to
 // batches already handed off, not to packets still pending in
 // producer-owned buffers — a lane's pending batch flushes on its own
 // BatchSize/BatchFlush cadence or via its Flush). Close requires every
@@ -628,29 +629,6 @@ func (s *Server) Swap(pl, fl *rules.CompiledRuleSet) error {
 	return nil
 }
 
-// FlushBlacklists withdraws every installed blacklist entry on every
-// shard — the companion to Swap when the replacement model redefines
-// "malicious" and verdicts issued under the old rules should not keep
-// blocking traffic. Returns the total number of entries removed once
-// every shard has flushed. Like Swap it is a barrier only relative to
-// batches already handed off; packets pending in producer-owned
-// buffers may re-install entries after it returns. Supervisor
-// goroutine only; safe concurrently with producers.
-func (s *Server) FlushBlacklists() (int, error) {
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	ack := make(chan int, len(s.shards))
-	for _, w := range s.shards {
-		w.in <- shardMsg{kind: msgFlush, ackN: ack}
-	}
-	total := 0
-	for range s.shards {
-		total += <-ack
-	}
-	return total, nil
-}
-
 // ApplyInstall installs an externally decided blacklist entry — one
 // propagated from another switch by the federation hub — on the key's
 // owning shard, through that shard's controller so capacity accounting
@@ -696,12 +674,16 @@ func (s *Server) applyKey(kind int, key features.FlowKey) (bool, error) {
 	return <-ack == 1, nil
 }
 
-// ApplyFlush withdraws every blacklist entry on every shard — the
-// apply path for a fleet-wide FLUSH. It is FlushBlacklists minus the
-// supervisor-only pending-batch hand-off, making it safe from any
-// goroutine; packets still waiting in producer-side batches may
-// re-install entries after it returns, which is the same eventual
-// consistency the rest of the federation surface accepts.
+// ApplyFlush withdraws every blacklist entry on every shard and
+// returns the total removed once every shard has flushed — the apply
+// path for a fleet-wide FLUSH, and the companion to Swap when the
+// replacement model redefines "malicious" and verdicts issued under
+// the old rules should not keep blocking traffic. Like the other
+// Apply* calls it is safe from any goroutine, and a barrier only
+// relative to batches already handed off: packets still waiting in
+// producer-side batches may re-install entries after it returns, which
+// is the same eventual consistency the rest of the federation surface
+// accepts.
 func (s *Server) ApplyFlush() (int, error) {
 	ack := make(chan int, len(s.shards))
 	s.ctlMu.RLock()

@@ -289,8 +289,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 }
 
-// TestFlushBlacklists pins the swap companion: withdrawing all
-// verdicts issued under the old rules, across every shard.
+// TestFlushBlacklists pins the swap companion, ApplyFlush: withdrawing
+// all verdicts issued under the old rules, across every shard.
 func TestFlushBlacklists(t *testing.T) {
 	trace := mixedTrace(t)
 	srv, err := New(Config{
@@ -307,7 +307,7 @@ func TestFlushBlacklists(t *testing.T) {
 	if st.BlacklistLen == 0 {
 		t.Fatal("reject-all produced no blacklist entries")
 	}
-	removed, err := srv.FlushBlacklists()
+	removed, err := srv.ApplyFlush()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +320,8 @@ func TestFlushBlacklists(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.FlushBlacklists(); err != ErrClosed {
-		t.Fatalf("FlushBlacklists after Close: err=%v want ErrClosed", err)
+	if _, err := srv.ApplyFlush(); err != ErrClosed {
+		t.Fatalf("ApplyFlush after Close: err=%v want ErrClosed", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -242,11 +243,7 @@ func TestProcessBatchGrowthAllocationFree(t *testing.T) {
 // zero-filled out cannot catch an unwritten field that should be zero,
 // and the BatchSize 1 reference runs the same code, so neither would.
 func TestProcessBatchOverwritesStaleDecisions(t *testing.T) {
-	garbage := Decision{
-		Path: Path(99), Predicted: 7, Dropped: true, Recirculated: true,
-		Digest:    Digest{Key: features.FlowKey{SrcIP: [4]byte{9, 9, 9, 9}, SrcPort: 9, Proto: 9}, Label: 9},
-		HasDigest: true,
-	}
+	garbage := Decision{Path: Path(99), Predicted: 7, Dropped: true, Recirculated: true}
 	const ms = time.Millisecond
 	type step struct {
 		flow byte
@@ -268,9 +265,9 @@ func TestProcessBatchOverwritesStaleDecisions(t *testing.T) {
 		{"brown/resident", false, []step{{1, 0}, {1, ms}},
 			func(d Decision, c Counters) bool { return c.PathCounts[PathBrown] == 1 }},
 		{"blue/threshold", false, []step{{1, 0}, {1, ms}, {1, 2 * ms}},
-			func(d Decision, c Counters) bool { return c.PathCounts[PathBlue] == 1 && d.HasDigest }},
+			func(d Decision, c Counters) bool { return c.PathCounts[PathBlue] == 1 && c.Digests == 1 }},
 		{"blue/timeout", false, []step{{1, 0}, {1, ms}, {1, 200 * ms}},
-			func(d Decision, c Counters) bool { return c.PathCounts[PathBlue] == 1 && d.HasDigest }},
+			func(d Decision, c Counters) bool { return c.PathCounts[PathBlue] == 1 && c.Digests == 1 }},
 		{"purple", false, []step{{1, 0}, {1, ms}, {1, 2 * ms}, {1, 3 * ms}},
 			func(d Decision, c Counters) bool { return c.PathCounts[PathPurple] == 1 }},
 		{"purple/label-timeout", false, []step{{1, 0}, {1, ms}, {1, 2 * ms}, {1, 200 * ms}},
@@ -298,7 +295,7 @@ func TestProcessBatchOverwritesStaleDecisions(t *testing.T) {
 					}
 				}
 				keys, folds := keysAndFolds(pkts)
-				mk := func() *Switch {
+				mk := func(sink DigestSink) *Switch {
 					sw := New(Config{
 						Slots:         1, // every flow shares both candidate slots
 						PktThreshold:  3,
@@ -307,13 +304,15 @@ func TestProcessBatchOverwritesStaleDecisions(t *testing.T) {
 						PLRules:       plRulesAllowPort(),
 						DropMalicious: true,
 					})
+					sw.SetSink(sink)
 					if tc.blacklist {
 						sw.InstallBlacklist(features.KeyOf(&pkts[0]))
 					}
 					return sw
 				}
 
-				ref := mk()
+				refDigests := &digestRecorder{}
+				ref := mk(refDigests)
 				want := make([]Decision, len(pkts))
 				var before Counters
 				for i := range pkts {
@@ -330,7 +329,8 @@ func TestProcessBatchOverwritesStaleDecisions(t *testing.T) {
 					t.Fatalf("script missed its arm: last decision %+v, counter delta %+v", last, delta)
 				}
 
-				sw := mk()
+				batchDigests := &digestRecorder{}
+				sw := mk(batchDigests)
 				got := make([]Decision, len(pkts))
 				for i := range got {
 					got[i] = garbage
@@ -347,6 +347,9 @@ func TestProcessBatchOverwritesStaleDecisions(t *testing.T) {
 				}
 				if sw.Counters != ref.Counters {
 					t.Errorf("counters diverge: batch %+v, single %+v", sw.Counters, ref.Counters)
+				}
+				if !slices.Equal(batchDigests.digests, refDigests.digests) {
+					t.Errorf("digests diverge: batch %+v, single %+v", batchDigests.digests, refDigests.digests)
 				}
 			})
 		}

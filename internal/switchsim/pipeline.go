@@ -70,9 +70,6 @@ type Decision struct {
 	// Recirculated is set when the packet was mirrored to the loopback
 	// port (costs one extra pipeline pass).
 	Recirculated bool
-	// Digest was emitted to the controller when HasDigest is set.
-	Digest    Digest
-	HasDigest bool
 }
 
 // DigestSink consumes controller digests.
@@ -503,9 +500,6 @@ func (sw *Switch) bluePath(s *slot, p *netpkt.Packet, now int64, timedOut bool, 
 	sw.Counters.PathCounts[PathBlue]++
 	verdict := sw.classifyFL(s)
 	sw.emitDigest(s.key, verdict)
-	d.Digest.Key = s.key
-	d.Digest.Label = verdict
-	d.HasDigest = true
 	d.Recirculated = true
 
 	// Loopback mirror updates the flow-label register (green path).

@@ -70,6 +70,8 @@ func newTestSwitch(n int, timeout time.Duration) *Switch {
 
 func TestBrownThenBluePath(t *testing.T) {
 	sw := newTestSwitch(3, time.Minute)
+	rec := &digestRecorder{}
+	sw.SetSink(rec)
 	// Small benign flow: two brown packets then a blue classification.
 	var decisions []Decision
 	for i := 0; i < 3; i++ {
@@ -85,8 +87,8 @@ func TestBrownThenBluePath(t *testing.T) {
 	if decisions[2].Predicted != 0 {
 		t.Errorf("benign flow predicted %d", decisions[2].Predicted)
 	}
-	if !decisions[2].HasDigest {
-		t.Error("blue path must emit a digest")
+	if len(rec.digests) != 1 || rec.digests[0].Label != 0 {
+		t.Errorf("blue path must emit one benign digest, got %+v", rec.digests)
 	}
 	if !decisions[2].Recirculated {
 		t.Error("blue path must recirculate")
@@ -177,6 +179,8 @@ func TestBlacklistCapacity(t *testing.T) {
 
 func TestTimeoutBluePath(t *testing.T) {
 	sw := newTestSwitch(100, 50*time.Millisecond)
+	rec := &digestRecorder{}
+	sw.SetSink(rec)
 	p1 := mkPkt(4, 4000, 100, 0)
 	p2 := mkPkt(4, 4000, 100, 10*time.Millisecond)
 	sw.ProcessPacket(&p1)
@@ -188,8 +192,8 @@ func TestTimeoutBluePath(t *testing.T) {
 	if d.Path != PathBlue {
 		t.Fatalf("timeout path = %v, want blue", d.Path)
 	}
-	if !d.HasDigest {
-		t.Error("timeout must digest")
+	if len(rec.digests) != 1 {
+		t.Errorf("timeout must emit one digest, got %+v", rec.digests)
 	}
 	// The flow restarts accumulating with p3.
 	if sw.ActiveFlows() != 1 {

@@ -33,9 +33,7 @@ func LowRate(tr *Trace, factor float64) *Trace {
 		q.Timestamp = stretchTimestamp(firstSeen[key], p.Timestamp, factor)
 		out.Packets = append(out.Packets, q)
 	}
-	sort.SliceStable(out.Packets, func(i, j int) bool {
-		return out.Packets[i].Timestamp.Before(out.Packets[j].Timestamp)
-	})
+	sortTrace(out)
 	return out
 }
 
@@ -83,9 +81,7 @@ func Poison(benign, attack *Trace, frac float64, seed int64) *Trace {
 		out.Packets = append(out.Packets, flows[k]...)
 		out.Malicious[k] = true
 	}
-	sort.SliceStable(out.Packets, func(i, j int) bool {
-		return out.Packets[i].Timestamp.Before(out.Packets[j].Timestamp)
-	})
+	sortTrace(out)
 	return out
 }
 
@@ -123,8 +119,6 @@ func Evade(tr *Trace, benignPerAttack float64, seed int64) *Trace {
 			out.Packets = append(out.Packets, ins)
 		}
 	}
-	sort.SliceStable(out.Packets, func(i, j int) bool {
-		return out.Packets[i].Timestamp.Before(out.Packets[j].Timestamp)
-	})
+	sortTrace(out)
 	return out
 }

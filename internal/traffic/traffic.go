@@ -13,7 +13,7 @@ package traffic
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"iguard/internal/features"
@@ -70,9 +70,7 @@ func (t *Trace) Merge(other *Trace) *Trace {
 	out := &Trace{Malicious: map[features.FlowKey]bool{}}
 	out.Packets = append(out.Packets, t.Packets...)
 	out.Packets = append(out.Packets, other.Packets...)
-	sort.SliceStable(out.Packets, func(i, j int) bool {
-		return out.Packets[i].Timestamp.Before(out.Packets[j].Timestamp)
-	})
+	sortTrace(out)
 	for k := range t.Malicious { //iguard:sorted map-to-map union, order-independent
 		out.Malicious[k] = true
 	}
@@ -154,10 +152,12 @@ func genFlow(r *rand.Rand, tr *Trace, spec flowSpec, src, dst [4]byte, srcPort u
 	}
 }
 
-// sortTrace finalises packet ordering.
+// sortTrace orders the trace's packets by timestamp, stably, so
+// same-instant packets keep their generation order. The generic sort
+// moves packets with typed copies, not a reflect swapper.
 func sortTrace(tr *Trace) {
-	sort.SliceStable(tr.Packets, func(i, j int) bool {
-		return tr.Packets[i].Timestamp.Before(tr.Packets[j].Timestamp)
+	slices.SortStableFunc(tr.Packets, func(a, b netpkt.Packet) int {
+		return a.Timestamp.Compare(b.Timestamp)
 	})
 }
 

@@ -61,7 +61,7 @@ func Load(r io.Reader) (*Detector, error) {
 		return nil, fmt.Errorf("iguard: load: missing preprocess or rules")
 	}
 	d := &Detector{cfg: m.Config, prep: m.Prep, ruleSet: m.Rules, forest: m.Forest}
-	d.compiled = compileRaw(m.Rules, m.Prep, m.Config.QuantBits)
+	d.compiled = m.Prep.Compile(m.Rules, m.Config.QuantBits)
 	return d, nil
 }
 
