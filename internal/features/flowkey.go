@@ -100,14 +100,13 @@ const (
 	foldMulC = 0xff51afd7ed558ccd
 )
 
-// Fold digests the canonicalised 13-byte key with FNV-1a — the
-// seed-independent prefix of the bi-hash (BiHashFold). It is symmetric:
-// both flow directions fold to the same value. Callers that index
-// several seeded tables with one key (the switch's double-hash lookup,
-// the serving runtime's shard router) compute the fold once and
-// finalise it per seed with BiHashFold, paying the 13-byte walk once
-// instead of per table. The rounds read the key fields directly in the
-// Bytes layout order, so no serialisation buffer is built.
+// Fold is Canonical().FoldCanonical(): the multiply-mix digest of the
+// canonicalised key, the seed-independent prefix of the bi-hash
+// (BiHashFold). It is symmetric: both flow directions fold to the same
+// value. Callers that index several seeded tables with one key (the
+// switch's double-hash lookup, the serving runtime's shard router)
+// compute the fold once and finalise it per seed with BiHashFold, so
+// the key is mixed once rather than once per table.
 //
 //iguard:hotpath
 func (k FlowKey) Fold() uint32 {

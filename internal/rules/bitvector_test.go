@@ -44,51 +44,99 @@ func quantizerFor(dim, bits int) *Quantizer {
 // test of the bit-vector matcher: at every quantizer bit width —
 // including widths past the direct-table cap, which take the
 // binary-search interval location path — random and boundary code
-// vectors must produce verdicts byte-identical to the linear scan.
+// vectors must produce verdicts byte-identical to the linear scan. The
+// rules= cases compile sets of more than 64 and more than 256 rules,
+// whose bitmaps span several words, and every case also probes vectors
+// whose first feature misses every rule and whose last feature holds
+// an out-of-domain code, which the walk never reaches.
 func TestMatchCodesBitvectorMatchesLinear(t *testing.T) {
 	for _, bits := range []int{1, 2, 4, 8, 12, 17, 20} {
 		for _, dim := range []int{1, 4, 13} {
 			t.Run(fmt.Sprintf("bits=%d/dim=%d", bits, dim), func(t *testing.T) {
 				r := mathx.NewRand(int64(bits*31 + dim))
-				c := Compile(randomRuleSet(r, dim, 60), quantizerFor(dim, bits))
-				if c.bv == nil && len(c.Rules) > 0 {
-					t.Fatal("Compile did not build the bit-vector index")
-				}
-				check := func(codes []uint64) {
-					t.Helper()
-					got, want := c.MatchCodes(codes), c.matchCodesLinear(codes)
-					if got != want {
-						t.Fatalf("MatchCodes(%v) = %d, linear scan says %d", codes, got, want)
-					}
-				}
-				levels := c.Quantizer.Levels(0)
-				// Random interior codes.
-				codes := make([]uint64, dim)
-				for trial := 0; trial < 300; trial++ {
-					for i := range codes {
-						codes[i] = uint64(r.Intn(int(levels)))
-					}
-					check(codes)
-				}
-				// Boundary codes: every rule edge, its neighbours, and
-				// the domain extremes — the off-by-one surface where a
-				// crack between the two matchers would hide.
-				edges := []uint64{0, levels - 1, levels, levels + 3}
-				for _, rule := range c.Rules {
-					for _, rg := range rule.Ranges {
-						edges = append(edges, rg.Lo, rg.Hi, rg.Hi+1)
-						if rg.Lo > 0 {
-							edges = append(edges, rg.Lo-1)
-						}
-					}
-				}
-				for trial := 0; trial < 600; trial++ {
-					for i := range codes {
-						codes[i] = edges[r.Intn(len(edges))]
-					}
-					check(codes)
-				}
+				checkBitvectorMatchesLinear(t, r, Compile(randomRuleSet(r, dim, 60), quantizerFor(dim, bits)))
 			})
+		}
+	}
+	for _, bits := range []int{12, 20} {
+		for _, dim := range []int{4, 13} {
+			for _, count := range []int{100, 300} {
+				t.Run(fmt.Sprintf("bits=%d/dim=%d/rules=%d", bits, dim, count), func(t *testing.T) {
+					r := mathx.NewRand(int64(bits*31 + dim + count))
+					c := Compile(randomRuleSet(r, dim, count), quantizerFor(dim, bits))
+					if n, atLeast := len(c.Rules), map[int]int{100: 64, 300: 256}[count]; n <= atLeast {
+						t.Fatalf("%d rules survived compilation, want more than %d", n, atLeast)
+					}
+					checkBitvectorMatchesLinear(t, r, c)
+				})
+			}
+		}
+	}
+}
+
+// checkBitvectorMatchesLinear drives c's MatchCodes against its linear
+// scan with random interior codes, boundary codes, and vectors that
+// die at the first feature before an out-of-domain last code.
+func checkBitvectorMatchesLinear(t *testing.T, r *rand.Rand, c *CompiledRuleSet) {
+	t.Helper()
+	if c.bv == nil && len(c.Rules) > 0 {
+		t.Fatal("Compile did not build the bit-vector index")
+	}
+	dim := len(c.Quantizer.Bits)
+	check := func(codes []uint64) {
+		t.Helper()
+		got, want := c.MatchCodes(codes), c.matchCodesLinear(codes)
+		if got != want {
+			t.Fatalf("MatchCodes(%v) = %d, linear scan says %d", codes, got, want)
+		}
+	}
+	levels := c.Quantizer.Levels(0)
+	// Random interior codes.
+	codes := make([]uint64, dim)
+	for trial := 0; trial < 300; trial++ {
+		for i := range codes {
+			codes[i] = uint64(r.Intn(int(levels)))
+		}
+		check(codes)
+	}
+	// Boundary codes: every rule edge, its neighbours, and
+	// the domain extremes — the off-by-one surface where a
+	// crack between the two matchers would hide.
+	edges := []uint64{0, levels - 1, levels, levels + 3}
+	for _, rule := range c.Rules {
+		for _, rg := range rule.Ranges {
+			edges = append(edges, rg.Lo, rg.Hi, rg.Hi+1)
+			if rg.Lo > 0 {
+				edges = append(edges, rg.Lo-1)
+			}
+		}
+	}
+	for trial := 0; trial < 600; trial++ {
+		for i := range codes {
+			codes[i] = edges[r.Intn(len(edges))]
+		}
+		check(codes)
+	}
+	// A first code no rule covers empties the accumulator at once; an
+	// out-of-domain code after it must not change the verdict.
+	for _, first := range edges {
+		covered := false
+		for _, rule := range c.Rules {
+			if rg := rule.Ranges[0]; first >= rg.Lo && first <= rg.Hi {
+				covered = true
+				break
+			}
+		}
+		if covered || first >= levels {
+			continue
+		}
+		for i := range codes {
+			codes[i] = uint64(r.Intn(int(levels)))
+		}
+		codes[0], codes[dim-1] = first, levels+uint64(r.Intn(4))
+		check(codes)
+		if got := c.MatchCodes(codes); got != c.DefaultLabel {
+			t.Fatalf("MatchCodes(%v) = %d, want the default label", codes, got)
 		}
 	}
 }

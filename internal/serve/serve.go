@@ -293,7 +293,8 @@ type shardMsg struct {
 	now   time.Time // tick
 	pl    *rules.CompiledRuleSet
 	fl    *rules.CompiledRuleSet
-	key   features.FlowKey  // install/remove target
+	key   features.FlowKey  // install/remove target, canonical
+	fold  uint32            // key's FoldCanonical value
 	ack   chan<- ShardStats // swap + stats replies
 	ackN  chan<- int        // flush + install/remove replies
 }
@@ -540,7 +541,7 @@ func (s *Server) handleControl(w *shardWorker, m shardMsg) {
 			if w.ctrl.Install(m.key) {
 				n = 1
 			}
-		} else if w.sw.InstallBlacklist(m.key) {
+		} else if w.sw.InstallBlacklist(m.key, m.fold) {
 			n = 1
 		}
 		m.ackN <- n
@@ -551,7 +552,7 @@ func (s *Server) handleControl(w *shardWorker, m shardMsg) {
 				n = 1
 			}
 		} else {
-			w.sw.RemoveBlacklist(m.key)
+			w.sw.RemoveBlacklist(m.key, m.fold)
 		}
 		m.ackN <- n
 	}
@@ -656,7 +657,8 @@ func (s *Server) ApplyRemove(key features.FlowKey) (applied bool, err error) {
 // its ack.
 func (s *Server) applyKey(kind int, key features.FlowKey) (bool, error) {
 	key = key.Canonical()
-	w := s.shards[s.shardOf(key.FoldCanonical())]
+	fold := key.FoldCanonical()
+	w := s.shards[s.shardOf(fold)]
 	ack := make(chan int, 1)
 	s.ctlMu.RLock()
 	if s.closed.Load() {
@@ -667,7 +669,7 @@ func (s *Server) applyKey(kind int, key features.FlowKey) (bool, error) {
 	// write lock before stopping the workers, so holding ctlMu across
 	// the send is exactly what guarantees the mailbox is still drained.
 	// The block is bounded by the shard's queue depth, not indefinite.
-	w.in <- shardMsg{kind: kind, key: key, ackN: ack} //iguard:allow(lockcheck) send-under-RLock is the Close fence; bounded by queue depth
+	w.in <- shardMsg{kind: kind, key: key, fold: fold, ackN: ack} //iguard:allow(lockcheck) send-under-RLock is the Close fence; bounded by queue depth
 	s.ctlMu.RUnlock()
 	// The ack arrives even if Close runs now: workers drain their
 	// mailboxes to completion before exiting.

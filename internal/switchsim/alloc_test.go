@@ -65,7 +65,7 @@ func TestProcessPacketAllocationFree(t *testing.T) {
 		for i := range pkts {
 			pkts[i] = mkPkt(byte(40+i%16), 4000, 100, time.Duration(i)*time.Millisecond)
 			if i%2 == 0 {
-				sw.InstallBlacklist(features.KeyOf(&pkts[i]).Reverse())
+				sw.InstallBlacklist(canon(features.KeyOf(&pkts[i]).Reverse()))
 			}
 		}
 		for i := range pkts[:16] {

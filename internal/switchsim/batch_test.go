@@ -306,7 +306,7 @@ func TestProcessBatchOverwritesStaleDecisions(t *testing.T) {
 					})
 					sw.SetSink(sink)
 					if tc.blacklist {
-						sw.InstallBlacklist(features.KeyOf(&pkts[0]))
+						sw.InstallBlacklist(canon(features.KeyOf(&pkts[0])))
 					}
 					return sw
 				}

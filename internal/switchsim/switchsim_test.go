@@ -11,6 +11,13 @@ import (
 
 var testBase = time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
 
+// canon returns k's canonical form and its fold, the arguments the
+// blacklist mutators take.
+func canon(k features.FlowKey) (features.FlowKey, uint32) {
+	k = k.Canonical()
+	return k, k.FoldCanonical()
+}
+
 func mkPkt(srcLast byte, sport uint16, length int, at time.Duration) netpkt.Packet {
 	return netpkt.Packet{
 		Timestamp: testBase.Add(at),
@@ -138,7 +145,7 @@ func TestRedPathBlacklist(t *testing.T) {
 	sw := newTestSwitch(4, time.Minute)
 	p := mkPkt(3, 3000, 100, 0)
 	key := features.KeyOf(&p)
-	if !sw.InstallBlacklist(key) {
+	if !sw.InstallBlacklist(canon(key)) {
 		t.Fatal("install failed")
 	}
 	d := sw.ProcessPacket(&p)
@@ -152,7 +159,7 @@ func TestRedPathBlacklist(t *testing.T) {
 	if got := sw.ProcessPacket(&rev); got.Path != PathRed {
 		t.Errorf("reverse direction path = %v, want red", got.Path)
 	}
-	sw.RemoveBlacklist(key)
+	sw.RemoveBlacklist(canon(key))
 	if got := sw.ProcessPacket(&p); got.Path == PathRed {
 		t.Error("removed blacklist entry still matches")
 	}
@@ -163,13 +170,13 @@ func TestBlacklistCapacity(t *testing.T) {
 	k1 := features.FlowKey{SrcIP: [4]byte{1, 1, 1, 1}, Proto: 6}
 	k2 := features.FlowKey{SrcIP: [4]byte{2, 2, 2, 2}, Proto: 6}
 	k3 := features.FlowKey{SrcIP: [4]byte{3, 3, 3, 3}, Proto: 6}
-	if !sw.InstallBlacklist(k1) || !sw.InstallBlacklist(k2) {
+	if !sw.InstallBlacklist(canon(k1)) || !sw.InstallBlacklist(canon(k2)) {
 		t.Fatal("install under capacity failed")
 	}
-	if sw.InstallBlacklist(k3) {
+	if sw.InstallBlacklist(canon(k3)) {
 		t.Error("install over capacity succeeded")
 	}
-	if sw.InstallBlacklist(k1) != true {
+	if sw.InstallBlacklist(canon(k1)) != true {
 		t.Error("re-install of existing entry should succeed")
 	}
 	if sw.BlacklistLen() != 2 {
@@ -514,7 +521,7 @@ func TestSetRulesHotSwap(t *testing.T) {
 	}
 	// Blacklist another flow so survival across the swap is observable.
 	blk := mkPkt(9, 9000, 100, 0)
-	sw.InstallBlacklist(features.KeyOf(&blk))
+	sw.InstallBlacklist(canon(features.KeyOf(&blk)))
 
 	// Swap to an empty whitelist: everything classifies malicious now.
 	empty := rules.Compile(&rules.RuleSet{Dim: features.FLDim, DefaultLabel: 1},
