@@ -1,6 +1,6 @@
 # Convenience targets for the iGuard reproduction.
 
-.PHONY: build test bench bench-e2e bench-diff bench-parallel bench-serve bench-batch bench-mp bench-rules bench-ctrl bench-decode bench-fold eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed fuzz-rules p4lint
+.PHONY: build test bench bench-e2e bench-diff bench-parallel bench-serve bench-batch bench-mp bench-rules bench-ctrl bench-decode bench-fold bench-fed eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed fuzz-rules p4lint
 
 build:
 	go build ./...
@@ -78,6 +78,12 @@ bench-decode:
 # per packet.
 bench-fold:
 	go test -bench 'BenchmarkCanonicalFold' -benchmem -run '^$$' ./internal/features
+
+# Federation propagation: b.N announces from one node through a
+# loopback hub to another, with ns and socket writes per propagated
+# frame (per-frame I/O would read 2 writes/frame over the two hops).
+bench-fed:
+	go test -bench 'BenchmarkFedPropagate' -benchmem -run '^$$' ./internal/fed
 
 # Full-size evaluation (several minutes).
 eval:

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -324,19 +325,16 @@ func (a *Agent) session(conn net.Conn) (handshaken bool) {
 	defer a.connected.Store(false)
 	defer closeConn()
 
-	scratch := make([]byte, MaxFrameLen)
-	var seq uint64
-	write := func(f Frame) error {
-		seq++
-		f.Seq = seq
-		return WriteFrame(conn, scratch, &f)
-	}
-	if err := write(Frame{Type: THello, HelloVersion: Version, Node: a.cfg.NodeID}); err != nil {
+	// One buffered reader serves the handshake and readLoop, so frames
+	// the hub sent right behind its HELLO are not lost between them.
+	br := bufio.NewReaderSize(conn, connBufSize)
+	w := newFrameWriter(conn)
+	if err := w.send(Frame{Type: THello, HelloVersion: Version, Node: a.cfg.NodeID}); err != nil {
 		a.logf("fed agent %d: send hello: %v", a.cfg.NodeID, err)
 		return false
 	}
 	var reply Frame
-	if err := ReadFrame(conn, scratch, &reply); err != nil {
+	if err := ReadFrame(br, &reply); err != nil {
 		a.logf("fed agent %d: read hello: %v", a.cfg.NodeID, err)
 		return false
 	}
@@ -362,7 +360,7 @@ func (a *Agent) session(conn net.Conn) (handshaken bool) {
 	a.wg.Add(1)
 	go func() {
 		defer a.wg.Done()
-		errc <- a.readLoop(conn)
+		errc <- a.readLoop(br)
 	}()
 
 	var sessionErr error
@@ -374,12 +372,12 @@ loop:
 		}
 		select {
 		case f := <-a.outbox:
-			if err := write(f); err != nil {
+			if err := w.burst(f, a.outbox); err != nil {
 				sessionErr = err
 				break loop
 			}
 		case <-idle:
-			if err := write(Frame{Type: TKeepalive}); err != nil {
+			if err := w.send(Frame{Type: TKeepalive}); err != nil {
 				sessionErr = err
 				break loop
 			}
@@ -405,12 +403,11 @@ loop:
 
 // readLoop consumes hub frames (sequence-checked, keepalives
 // included) and applies propagated operations locally until error.
-func (a *Agent) readLoop(conn net.Conn) error {
-	scratch := make([]byte, MaxFrameLen)
+func (a *Agent) readLoop(br *bufio.Reader) error {
 	lastSeq := uint64(1) // the hub's HELLO reply
 	var f Frame
 	for {
-		if err := ReadFrame(conn, scratch, &f); err != nil {
+		if err := ReadFrame(br, &f); err != nil {
 			return err
 		}
 		if f.Seq != lastSeq+1 {

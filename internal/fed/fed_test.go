@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -61,7 +62,7 @@ func (f *fakeApplier) snapshot() (installs, removes, flushes, resident int) {
 
 // waitFor polls cond with a generous deadline; the tests are
 // event-driven so the deadline only bounds genuine failures.
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for !cond() {
@@ -73,13 +74,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // startHub binds a loopback hub and registers its teardown.
-func startHub(t *testing.T, cfg HubConfig) *Hub {
+func startHub(t testing.TB, cfg HubConfig) *Hub {
+	t.Helper()
+	return startHubWrapped(t, cfg, func(ln net.Listener) net.Listener { return ln })
+}
+
+// startHubWrapped is startHub with the listener passed through wrap
+// first (tests count the hub's socket writes this way).
+func startHubWrapped(t testing.TB, cfg HubConfig, wrap func(net.Listener) net.Listener) *Hub {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHub(ln, cfg)
+	h := NewHub(wrap(ln), cfg)
 	go func() {
 		if err := h.Serve(); err != nil {
 			t.Errorf("hub serve: %v", err)
@@ -426,20 +434,24 @@ func TestAgentKeepaliveFakeClock(t *testing.T) {
 		if err != nil {
 			return
 		}
-		scratch := make([]byte, MaxFrameLen)
+		br := bufio.NewReader(conn)
 		var hello Frame
-		if err := ReadFrame(conn, scratch, &hello); err != nil {
+		if err := ReadFrame(br, &hello); err != nil {
 			t.Errorf("hub read hello: %v", err)
 			return
 		}
-		reply := Frame{Type: THello, Seq: 1, HelloVersion: Version, Node: 99}
-		if err := WriteFrame(conn, scratch, &reply); err != nil {
+		reply, err := AppendFrame(nil, &Frame{Type: THello, Seq: 1, HelloVersion: Version, Node: 99})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := conn.Write(reply); err != nil {
 			t.Errorf("hub write hello: %v", err)
 			return
 		}
 		for {
 			var f Frame
-			if err := ReadFrame(conn, scratch, &f); err != nil {
+			if err := ReadFrame(br, &f); err != nil {
 				close(frames)
 				return
 			}
@@ -522,9 +534,11 @@ func TestHubRejectsBadHandshakes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := make([]byte, MaxFrameLen)
-	bad := Frame{Type: THello, Seq: 1, HelloVersion: Version + 1, Node: 5}
-	if err := WriteFrame(conn2, scratch, &bad); err != nil {
+	bad, err := AppendFrame(nil, &Frame{Type: THello, Seq: 1, HelloVersion: Version + 1, Node: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn2.Write(bad); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := conn2.Read(buf); err == nil {

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
@@ -45,9 +46,8 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("encode∘decode not identity:\n in  %x\n out %x", data[:n], re)
 		}
 		// The stream face must agree with the slice face.
-		scratch := make([]byte, MaxFrameLen)
 		var viaStream Frame
-		if err := ReadFrame(bytes.NewReader(data), scratch, &viaStream); err != nil {
+		if err := ReadFrame(bufio.NewReader(bytes.NewReader(data)), &viaStream); err != nil {
 			t.Fatalf("ReadFrame rejected what DecodeFrame accepted: %v", err)
 		}
 		if viaStream != fr {

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -100,6 +101,9 @@ type hubConn struct {
 	out       chan Frame
 	done      chan struct{}
 	closeOnce sync.Once
+	// targets is the reader goroutine's broadcast scratch: the fan-out
+	// list of this node's announcements, reused across them.
+	targets []*hubConn
 }
 
 // close tears the connection down once: marks it dead and closes the
@@ -227,9 +231,11 @@ func (h *Hub) logf(format string, args ...any) {
 	}
 }
 
-// setReadDeadline arms the dead-peer cutoff before a blocking read.
-func (h *Hub) setReadDeadline(conn net.Conn) error {
-	if h.cfg.ReadTimeout <= 0 {
+// setReadDeadline arms the dead-peer cutoff before a read from br that
+// can block; a frame already buffered is read without touching the
+// deadline.
+func (h *Hub) setReadDeadline(conn net.Conn, br *bufio.Reader) error {
+	if h.cfg.ReadTimeout <= 0 || frameBuffered(br) {
 		return nil
 	}
 	return conn.SetReadDeadline(h.cfg.Clock.Now().Add(h.cfg.ReadTimeout))
@@ -239,12 +245,14 @@ func (h *Hub) setReadDeadline(conn net.Conn) error {
 // then the announcement loop. Any protocol violation tears the
 // connection down; the node's agent reconnects and resynchronises.
 func (h *Hub) serveConn(conn net.Conn) {
-	scratch := make([]byte, MaxFrameLen)
+	// One buffered reader serves the handshake and readLoop, so frames
+	// the node sent right behind its HELLO are not lost between them.
+	br := bufio.NewReaderSize(conn, connBufSize)
 	var hello Frame
-	if err := h.setReadDeadline(conn); err != nil {
+	if err := h.setReadDeadline(conn, br); err != nil {
 		h.logf("fed hub: %v: arm deadline: %v", conn.RemoteAddr(), err)
 	}
-	if err := ReadFrame(conn, scratch, &hello); err != nil {
+	if err := ReadFrame(br, &hello); err != nil {
 		h.reject(conn, fmt.Sprintf("handshake read: %v", err))
 		return
 	}
@@ -300,7 +308,7 @@ func (h *Hub) serveConn(conn net.Conn) {
 	}
 
 	h.logf("fed hub: node %d joined from %v (replayed %d entries)", c.node, conn.RemoteAddr(), len(replay))
-	err := h.readLoop(c, scratch)
+	err := h.readLoop(c, br)
 	h.unregister(c)
 	c.close(h.cfg.Logf)
 	if err != nil {
@@ -357,39 +365,28 @@ func (h *Hub) enqueue(c *hubConn, f Frame) {
 
 // writeLoop owns the connection's write side and its outgoing
 // sequence numbers, and emits a KEEPALIVE whenever the connection has
-// been send-idle for the keepalive interval.
+// been send-idle for the keepalive interval. Queued frames leave in
+// bursts (frameWriter.burst); the HELLO reply shares its segment with
+// the join replay queued right behind it, which the agent reads
+// through one buffered reader.
 func (h *Hub) writeLoop(c *hubConn) {
-	scratch := make([]byte, 0, MaxFrameLen)
-	var seq uint64
-	write := func(f Frame) bool {
-		seq++
-		f.Seq = seq
-		buf, err := AppendFrame(scratch[:0], &f)
-		if err != nil {
-			h.logf("fed hub: node %d: encode: %v", c.node, err)
-			return false
-		}
-		if _, err := c.conn.Write(buf); err != nil {
-			c.close(h.cfg.Logf)
-			return false
-		}
-		return true
-	}
+	w := newFrameWriter(c.conn)
 	for {
 		var idle <-chan time.Time
 		if h.cfg.Keepalive > 0 {
 			idle = h.cfg.Clock.After(h.cfg.Keepalive)
 		}
+		var err error
 		select {
 		case f := <-c.out:
-			if !write(f) {
-				return
-			}
+			err = w.burst(f, c.out)
 		case <-idle:
-			if !write(Frame{Type: TKeepalive}) {
-				return
-			}
+			err = w.send(Frame{Type: TKeepalive})
 		case <-c.done:
+			return
+		}
+		if err != nil {
+			c.close(h.cfg.Logf)
 			return
 		}
 	}
@@ -397,14 +394,14 @@ func (h *Hub) writeLoop(c *hubConn) {
 
 // readLoop consumes the node's frames until error, enforcing the
 // gap-free sequence contract and dispatching each frame.
-func (h *Hub) readLoop(c *hubConn, scratch []byte) error {
+func (h *Hub) readLoop(c *hubConn, br *bufio.Reader) error {
 	lastSeq := uint64(1) // the handshake HELLO
 	var f Frame
 	for {
-		if err := h.setReadDeadline(c.conn); err != nil {
+		if err := h.setReadDeadline(c.conn, br); err != nil {
 			return err
 		}
-		if err := ReadFrame(c.conn, scratch, &f); err != nil {
+		if err := ReadFrame(br, &f); err != nil {
 			return err
 		}
 		if f.Seq != lastSeq+1 {
@@ -434,15 +431,26 @@ func (h *Hub) readLoop(c *hubConn, scratch []byte) error {
 	}
 }
 
-// others snapshots every registered connection except origin.
+// othersLocked snapshots every registered connection except origin
+// into origin's reusable fan-out scratch.
 func (h *Hub) othersLocked(origin *hubConn) []*hubConn {
-	targets := make([]*hubConn, 0, len(h.conns))
+	targets := origin.targets[:0]
 	for c := range h.conns { //iguard:sorted broadcast fan-out; every target gets the same frame
 		if c != origin {
 			targets = append(targets, c)
 		}
 	}
+	origin.targets = targets
 	return targets
+}
+
+// broadcast enqueues f to every target, then clears the scratch so it
+// holds no departed connection alive until the next broadcast.
+func (h *Hub) broadcast(targets []*hubConn, f Frame) {
+	for _, c := range targets {
+		h.enqueue(c, f)
+	}
+	clear(targets)
 }
 
 // onAnnounce dedups one node's install announcement and, first time
@@ -463,10 +471,10 @@ func (h *Hub) onAnnounce(origin *hubConn, key features.FlowKey) {
 	h.stats.InstallsSent += uint64(len(targets))
 	h.mu.Unlock()
 
-	for _, c := range targets {
-		h.enqueue(c, Frame{Type: TInstall, Key: k})
+	h.broadcast(targets, Frame{Type: TInstall, Key: k})
+	if h.cfg.Logf != nil { // guarded: the arguments would escape even with no logger
+		h.logf("fed hub: node %d announced %v -> %d node(s)", origin.node, k, len(targets))
 	}
-	h.logf("fed hub: node %d announced %v -> %d node(s)", origin.node, k, len(targets))
 }
 
 // onRemove withdraws an entry and propagates the removal.
@@ -482,10 +490,10 @@ func (h *Hub) onRemove(origin *hubConn, key features.FlowKey) {
 	h.stats.RemovesSent += uint64(len(targets))
 	h.mu.Unlock()
 
-	for _, c := range targets {
-		h.enqueue(c, Frame{Type: TRemove, Key: k})
+	h.broadcast(targets, Frame{Type: TRemove, Key: k})
+	if h.cfg.Logf != nil {
+		h.logf("fed hub: node %d removed %v -> %d node(s)", origin.node, k, len(targets))
 	}
-	h.logf("fed hub: node %d removed %v -> %d node(s)", origin.node, k, len(targets))
 }
 
 // onFlush clears the fleet view and propagates the flush.
@@ -497,8 +505,6 @@ func (h *Hub) onFlush(origin *hubConn) {
 	h.stats.FlushesSent += uint64(len(targets))
 	h.mu.Unlock()
 
-	for _, c := range targets {
-		h.enqueue(c, Frame{Type: TFlush})
-	}
+	h.broadcast(targets, Frame{Type: TFlush})
 	h.logf("fed hub: node %d flushed %d entries -> %d node(s)", origin.node, n, len(targets))
 }

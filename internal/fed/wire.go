@@ -39,10 +39,12 @@
 package fed
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 
 	"iguard/internal/features"
 )
@@ -196,6 +198,20 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	return dst, nil
 }
 
+// bodyLen reads a frame's length prefix from the front of b (which
+// holds at least 4 bytes) and checks it against the protocol bounds
+// before anything is read or allocated on its say-so.
+func bodyLen(b []byte) (int, error) {
+	blen := int(binary.BigEndian.Uint32(b))
+	if blen > MaxFrameLen-4 {
+		return 0, fmt.Errorf("%w: %d bytes", ErrOversize, blen)
+	}
+	if blen < headerLen {
+		return 0, fmt.Errorf("%w: body %d bytes, need at least %d", ErrBadLength, blen, headerLen)
+	}
+	return blen, nil
+}
+
 // DecodeFrame parses one frame from the front of b, returning the
 // frame and the number of bytes consumed. A short buffer returns
 // ErrTruncated (read more and retry); every other error is a permanent
@@ -206,12 +222,9 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < 4 {
 		return Frame{}, 0, ErrTruncated
 	}
-	blen := int(binary.BigEndian.Uint32(b))
-	if blen > MaxFrameLen-4 {
-		return Frame{}, 0, fmt.Errorf("%w: %d bytes", ErrOversize, blen)
-	}
-	if blen < headerLen {
-		return Frame{}, 0, fmt.Errorf("%w: body %d bytes, need at least %d", ErrBadLength, blen, headerLen)
+	blen, err := bodyLen(b)
+	if err != nil {
+		return Frame{}, 0, err
 	}
 	if len(b) < 4+blen {
 		return Frame{}, 0, ErrTruncated
@@ -248,10 +261,22 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	return f, 4 + blen, nil
 }
 
-// WriteFrame encodes f into scratch (reusing its backing array when
-// large enough) and writes the whole frame to w in one call.
-func WriteFrame(w io.Writer, scratch []byte, f *Frame) error {
-	buf, err := AppendFrame(scratch[:0], f)
+// connBufSize sizes the per-connection bufio.Reader and bufio.Writer.
+// A burst of 26-byte key frames shares one 4 KiB segment (157 frames),
+// and any frame fits whole, so a reader can always Peek one.
+const connBufSize = 4096
+
+// WriteFrame encodes f straight into w's free buffer space. The frame
+// reaches the connection when w is flushed or fills up.
+func WriteFrame(w *bufio.Writer, f *Frame) error {
+	if w.Available() < MaxFrameLen {
+		// Make room first so the append below never outgrows the
+		// buffer (which would copy the frame into a fresh slice).
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	buf, err := AppendFrame(w.AvailableBuffer(), f)
 	if err != nil {
 		return err
 	}
@@ -259,31 +284,93 @@ func WriteFrame(w io.Writer, scratch []byte, f *Frame) error {
 	return err
 }
 
-// ReadFrame reads exactly one frame from r into f, using scratch
-// (which must hold MaxFrameLen bytes) as the read buffer. io.EOF is
-// returned untouched on a clean close between frames; a close mid-frame
-// surfaces as io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader, scratch []byte, f *Frame) error {
-	if _, err := io.ReadFull(r, scratch[:4]); err != nil {
+// frameWriter is one connection's write side, shared by the agent
+// session and the hub's per-node writer: it numbers outgoing frames
+// 1, 2, 3, … and buffers them, so the I/O is per burst, not per frame.
+type frameWriter struct {
+	bw  *bufio.Writer
+	seq uint64
+}
+
+func newFrameWriter(conn net.Conn) *frameWriter {
+	return &frameWriter{bw: bufio.NewWriterSize(conn, connBufSize)}
+}
+
+// write numbers f and buffers it.
+func (w *frameWriter) write(f Frame) error {
+	w.seq++
+	f.Seq = w.seq
+	return WriteFrame(w.bw, &f)
+}
+
+// send writes f and flushes at once (HELLO, KEEPALIVE).
+func (w *frameWriter) send(f Frame) error {
+	if err := w.write(f); err != nil {
 		return err
 	}
-	blen := int(binary.BigEndian.Uint32(scratch))
-	if blen > MaxFrameLen-4 {
-		return fmt.Errorf("%w: %d bytes", ErrOversize, blen)
+	return w.bw.Flush()
+}
+
+// burst writes f and every frame already queued behind it in q (the
+// caller is q's only receiver), then flushes if q is seen empty: a
+// burst leaves in one write and a lone frame is never held back. If
+// more frames arrived meanwhile, the caller's next burst continues the
+// segment, and a full buffer writes through.
+func (w *frameWriter) burst(f Frame, q <-chan Frame) error {
+	err := w.write(f)
+	for n := len(q); err == nil && n > 0; n-- {
+		err = w.write(<-q)
 	}
-	if blen < headerLen {
-		return fmt.Errorf("%w: body %d bytes, need at least %d", ErrBadLength, blen, headerLen)
+	if err == nil && len(q) == 0 {
+		err = w.bw.Flush()
 	}
-	if _, err := io.ReadFull(r, scratch[4:4+blen]); err != nil {
+	return err
+}
+
+// ReadFrame reads exactly one frame from r into f, decoding it in
+// place from r's buffer. io.EOF is returned untouched on a clean close
+// between frames; a close mid-frame surfaces as io.ErrUnexpectedEOF.
+// r must buffer at least MaxFrameLen bytes (connBufSize does).
+func ReadFrame(r *bufio.Reader, f *Frame) error {
+	prefix, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(prefix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	blen, err := bodyLen(prefix)
+	if err != nil {
+		return err
+	}
+	b, err := r.Peek(4 + blen)
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return err
 	}
-	got, _, err := DecodeFrame(scratch[:4+blen])
+	got, n, err := DecodeFrame(b)
 	if err != nil {
 		return err
 	}
 	*f = got
-	return nil
+	_, err = r.Discard(n)
+	return err
+}
+
+// frameBuffered reports whether r already holds a whole frame (or a
+// length prefix ReadFrame rejects without reading), so that the next
+// ReadFrame cannot block.
+func frameBuffered(r *bufio.Reader) bool {
+	n := r.Buffered()
+	if n < 4 {
+		return false
+	}
+	prefix, err := r.Peek(4) // already buffered: no I/O
+	if err != nil {
+		return false
+	}
+	blen, err := bodyLen(prefix)
+	return err != nil || n >= 4+blen
 }

@@ -1,10 +1,12 @@
 package fed
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"iguard/internal/features"
@@ -56,12 +58,18 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 
 		var buf bytes.Buffer
-		scratch := make([]byte, MaxFrameLen)
-		if err := WriteFrame(&buf, scratch, &want); err != nil {
+		bw := bufio.NewWriter(&buf)
+		if err := WriteFrame(bw, &want); err != nil {
 			t.Fatalf("%v: WriteFrame: %v", want.Type, err)
 		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), enc) {
+			t.Fatalf("%v: WriteFrame wrote %x, AppendFrame %x", want.Type, buf.Bytes(), enc)
+		}
 		var rt Frame
-		if err := ReadFrame(&buf, scratch, &rt); err != nil {
+		if err := ReadFrame(bufio.NewReader(&buf), &rt); err != nil {
 			t.Fatalf("%v: ReadFrame: %v", want.Type, err)
 		}
 		if rt != want {
@@ -91,6 +99,57 @@ func TestFrameStreamConcatenation(t *testing.T) {
 			t.Fatalf("frame %d mismatch: got %+v want %+v", i, got, frames[i])
 		}
 		stream = stream[n:]
+	}
+}
+
+// TestFrameBufferedStream pins the connection faces on a stream long
+// enough to wrap the 4 KiB connection buffers many times: WriteFrame
+// through a connBufSize writer emits exactly the AppendFrame bytes
+// (flushing early when a frame would not fit), and ReadFrame decodes
+// them back in order whether the bytes arrive whole or one at a time.
+func TestFrameBufferedStream(t *testing.T) {
+	var frames []Frame
+	for i := 0; i < 100; i++ {
+		for _, f := range sampleFrames() {
+			f.Seq = uint64(len(frames) + 1)
+			frames = append(frames, f)
+		}
+	}
+	var want []byte
+	var wire bytes.Buffer
+	bw := bufio.NewWriterSize(&wire, connBufSize)
+	for i := range frames {
+		var err error
+		if want, err = AppendFrame(want, &frames[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(bw, &frames[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wire.Bytes(), want) {
+		t.Fatalf("buffered writes differ from the AppendFrame concatenation (%d vs %d bytes)", wire.Len(), len(want))
+	}
+	for name, r := range map[string]io.Reader{
+		"whole":    bytes.NewReader(want),
+		"one-byte": iotest.OneByteReader(bytes.NewReader(want)),
+	} {
+		br := bufio.NewReaderSize(r, connBufSize)
+		var got Frame
+		for i := range frames {
+			if err := ReadFrame(br, &got); err != nil {
+				t.Fatalf("%s: frame %d: %v", name, i, err)
+			}
+			if got != frames[i] {
+				t.Fatalf("%s: frame %d: got %+v want %+v", name, i, got, frames[i])
+			}
+		}
+		if err := ReadFrame(br, &got); err != io.EOF {
+			t.Fatalf("%s: after the last frame: err=%v want io.EOF", name, err)
+		}
 	}
 }
 
@@ -136,13 +195,15 @@ func TestFrameDecodeRejections(t *testing.T) {
 		t.Errorf("encode zero frame: err=%v want ErrUnknownType", err)
 	}
 
-	// A stream that dies mid-frame surfaces as ErrUnexpectedEOF.
-	scratch := make([]byte, MaxFrameLen)
+	// A stream that dies mid-frame (in the body or in the length
+	// prefix) surfaces as ErrUnexpectedEOF; between frames, as io.EOF.
 	var f Frame
-	if err := ReadFrame(bytes.NewReader(valid[:len(valid)-2]), scratch, &f); err != io.ErrUnexpectedEOF {
-		t.Errorf("mid-frame EOF: err=%v want io.ErrUnexpectedEOF", err)
+	for _, cut := range []int{len(valid) - 2, 2} {
+		if err := ReadFrame(bufio.NewReader(bytes.NewReader(valid[:cut])), &f); err != io.ErrUnexpectedEOF {
+			t.Errorf("EOF after %d bytes: err=%v want io.ErrUnexpectedEOF", cut, err)
+		}
 	}
-	if err := ReadFrame(bytes.NewReader(nil), scratch, &f); err != io.EOF {
+	if err := ReadFrame(bufio.NewReader(bytes.NewReader(nil)), &f); err != io.EOF {
 		t.Errorf("clean EOF: err=%v want io.EOF", err)
 	}
 }

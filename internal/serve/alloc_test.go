@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"iguard/internal/features"
 	"iguard/internal/netpkt"
 	"iguard/internal/switchsim"
 )
@@ -81,5 +82,39 @@ func TestShardLoopAllocationFree(t *testing.T) {
 		drain()
 	}); n != 0 {
 		t.Errorf("shard loop allocs per ingest→decide→stats cycle = %v, want 0", n)
+	}
+}
+
+// TestApplyKeyAllocationFree pins the federation apply path at 0
+// allocations: ApplyInstall and ApplyRemove reuse their ack channels,
+// so a propagated install costs node B no garbage. sync.Pool drops
+// items at random under the race detector, so the pin runs only in
+// normal builds.
+func TestApplyKeyAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	srv, err := New(Config{
+		Shards:   2,
+		NewShard: testShardFactory(acceptAllFL(), 8, time.Hour),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	key := features.FlowKey{SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2}, SrcPort: 1, DstPort: 2, Proto: 6}
+	if n := testing.AllocsPerRun(200, func() {
+		if ok, err := srv.ApplyInstall(key); err != nil || !ok {
+			t.Fatalf("ApplyInstall: ok=%v err=%v", ok, err)
+		}
+		if ok, err := srv.ApplyRemove(key); err != nil || !ok {
+			t.Fatalf("ApplyRemove: ok=%v err=%v", ok, err)
+		}
+	}); n != 0 {
+		t.Errorf("ApplyInstall + ApplyRemove: %v allocs, want 0", n)
 	}
 }

@@ -653,18 +653,23 @@ func (s *Server) ApplyRemove(key features.FlowKey) (applied bool, err error) {
 	return s.applyKey(msgRemove, key)
 }
 
+// applyAcks recycles applyKey's one-slot ack channels, so a
+// propagated install costs no allocation. A channel goes back only
+// after its single ack has been received, so it is always empty.
+var applyAcks = sync.Pool{New: func() any { return make(chan int, 1) }}
+
 // applyKey routes one install/remove to the owning shard and waits for
 // its ack.
 func (s *Server) applyKey(kind int, key features.FlowKey) (bool, error) {
 	key = key.Canonical()
 	fold := key.FoldCanonical()
 	w := s.shards[s.shardOf(fold)]
-	ack := make(chan int, 1)
 	s.ctlMu.RLock()
 	if s.closed.Load() {
 		s.ctlMu.RUnlock()
 		return false, ErrClosed
 	}
+	ack := applyAcks.Get().(chan int)
 	// The send stays inside the read lock on purpose: Close takes the
 	// write lock before stopping the workers, so holding ctlMu across
 	// the send is exactly what guarantees the mailbox is still drained.
@@ -673,7 +678,9 @@ func (s *Server) applyKey(kind int, key features.FlowKey) (bool, error) {
 	s.ctlMu.RUnlock()
 	// The ack arrives even if Close runs now: workers drain their
 	// mailboxes to completion before exiting.
-	return <-ack == 1, nil
+	applied := <-ack == 1
+	applyAcks.Put(ack)
+	return applied, nil
 }
 
 // ApplyFlush withdraws every blacklist entry on every shard and
