@@ -93,7 +93,8 @@ type AgentStats struct {
 	Sessions     uint64 `json:"sessions"`
 	// Announced counts frames successfully enqueued toward the hub;
 	// OutboxDrops counts announcements discarded because the outbox
-	// was full (hub down or slow).
+	// was full (hub down or slow) or because the write carrying them
+	// failed.
 	Announced   uint64 `json:"announced"`
 	OutboxDrops uint64 `json:"outbox_drops"`
 	// Applied* count hub-propagated operations applied to the local
@@ -372,7 +373,10 @@ loop:
 		}
 		select {
 		case f := <-a.outbox:
-			if err := w.burst(f, a.outbox); err != nil {
+			if lost, err := w.burst(f, a.outbox); err != nil {
+				// Taken from the outbox, never sent: count them
+				// like a full outbox's drops.
+				a.outboxDrops.Add(uint64(lost))
 				sessionErr = err
 				break loop
 			}

@@ -3,6 +3,7 @@ package fed
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -199,6 +200,67 @@ func TestFederationLoneFrameNotHeldBack(t *testing.T) {
 	if got := b.waitApplied(t, "lone install"); got.Type != TInstall || got.Key != key.Canonical() {
 		t.Fatalf("applied %v %v, want install %v", got.Type, got.Key, key.Canonical())
 	}
+}
+
+// hangupConn passes its first Write (the HELLO) through and fails
+// every later one, as if the hub hung up right after the handshake.
+type hangupConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *hangupConn) Write(b []byte) (int, error) {
+	if c.writes.Add(1) > 1 {
+		return 0, errors.New("hub hung up")
+	}
+	return c.Conn.Write(b)
+}
+
+// TestAgentCountsBurstLostToHangup pins the agent's accounting when a
+// burst's write fails: every announcement it took from the outbox and
+// could not send counts as an outbox drop, so Announced equals what
+// was sent, dropped or is still queued for the next session.
+func TestAgentCountsBurstLostToHangup(t *testing.T) {
+	const N = 500
+	hub := startHub(t, HubConfig{Keepalive: -1})
+	release := make(chan struct{})
+	var dials atomic.Int64
+	n := startNode(t, hub.Addr().String(), 1, func(c *AgentConfig) {
+		c.Dial = func(addr string) (net.Conn, error) {
+			if dials.Add(1) > 1 {
+				return nil, errors.New("hub gone")
+			}
+			<-release
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return &hangupConn{Conn: conn}, nil
+		}
+	})
+	// Queue the announces before the session starts, so its first
+	// burst takes a whole buffer's worth of them.
+	for i := 0; i < N; i++ {
+		n.agent.Announce(seqKey(i))
+	}
+	close(release)
+	waitFor(t, "the session to end", func() bool {
+		st := n.agent.Stats()
+		return st.Sessions == 1 && !st.Connected && dials.Load() > 1
+	})
+
+	st := n.agent.Stats()
+	if st.Announced != N {
+		t.Fatalf("agent stats %+v: want %d announced", st, N)
+	}
+	queued := uint64(len(n.agent.outbox))
+	if st.OutboxDrops <= 1 || st.OutboxDrops+queued != N {
+		t.Fatalf("agent stats %+v with %d still queued: want the failed burst's frames (more than one) counted as drops, the rest queued", st, queued)
+	}
+	if hst := hub.Stats(); hst.Announces != 0 {
+		t.Fatalf("hub stats %+v: no announce can have been sent", hst)
+	}
+	t.Logf("burst lost %d announces, %d still queued", st.OutboxDrops, queued)
 }
 
 // TestHubReadTimeout pins the dead-peer cutoff under buffered reads. A

@@ -231,11 +231,9 @@ func (h *Hub) logf(format string, args ...any) {
 	}
 }
 
-// setReadDeadline arms the dead-peer cutoff before a read from br that
-// can block; a frame already buffered is read without touching the
-// deadline.
-func (h *Hub) setReadDeadline(conn net.Conn, br *bufio.Reader) error {
-	if h.cfg.ReadTimeout <= 0 || frameBuffered(br) {
+// setReadDeadline arms the dead-peer cutoff before a blocking read.
+func (h *Hub) setReadDeadline(conn net.Conn) error {
+	if h.cfg.ReadTimeout <= 0 {
 		return nil
 	}
 	return conn.SetReadDeadline(h.cfg.Clock.Now().Add(h.cfg.ReadTimeout))
@@ -249,7 +247,7 @@ func (h *Hub) serveConn(conn net.Conn) {
 	// the node sent right behind its HELLO are not lost between them.
 	br := bufio.NewReaderSize(conn, connBufSize)
 	var hello Frame
-	if err := h.setReadDeadline(conn, br); err != nil {
+	if err := h.setReadDeadline(conn); err != nil {
 		h.logf("fed hub: %v: arm deadline: %v", conn.RemoteAddr(), err)
 	}
 	if err := ReadFrame(br, &hello); err != nil {
@@ -379,7 +377,9 @@ func (h *Hub) writeLoop(c *hubConn) {
 		var err error
 		select {
 		case f := <-c.out:
-			err = w.burst(f, c.out)
+			// Frames lost with a failed write are not counted: the
+			// node is cut and resynchronised by join replay.
+			_, err = w.burst(f, c.out)
 		case <-idle:
 			err = w.send(Frame{Type: TKeepalive})
 		case <-c.done:
@@ -398,7 +398,7 @@ func (h *Hub) readLoop(c *hubConn, br *bufio.Reader) error {
 	lastSeq := uint64(1) // the handshake HELLO
 	var f Frame
 	for {
-		if err := h.setReadDeadline(c.conn, br); err != nil {
+		if err := h.setReadDeadline(c.conn); err != nil {
 			return err
 		}
 		if err := ReadFrame(br, &f); err != nil {

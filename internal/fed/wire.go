@@ -262,7 +262,7 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 }
 
 // connBufSize sizes the per-connection bufio.Reader and bufio.Writer.
-// A burst of 26-byte key frames shares one 4 KiB segment (157 frames),
+// A burst of 26-byte key frames shares one 4 KiB segment (156 frames),
 // and any frame fits whole, so a reader can always Peek one.
 const connBufSize = 4096
 
@@ -311,20 +311,27 @@ func (w *frameWriter) send(f Frame) error {
 	return w.bw.Flush()
 }
 
-// burst writes f and every frame already queued behind it in q (the
-// caller is q's only receiver), then flushes if q is seen empty: a
-// burst leaves in one write and a lone frame is never held back. If
-// more frames arrived meanwhile, the caller's next burst continues the
-// segment, and a full buffer writes through.
-func (w *frameWriter) burst(f Frame, q <-chan Frame) error {
-	err := w.write(f)
-	for n := len(q); err == nil && n > 0; n-- {
-		err = w.write(<-q)
+// burst writes f and the frames queued behind it in q (the caller is
+// q's only receiver) until q is seen empty or the buffer is full, then
+// flushes: a burst leaves in one write, a lone frame is never held
+// back, and nothing stays buffered between bursts. On error it returns
+// how many of the burst's frames (f included) were taken but never
+// confirmed written to the connection.
+func (w *frameWriter) burst(f Frame, q <-chan Frame) (lost int, err error) {
+	for {
+		lost++
+		if err := w.write(f); err != nil {
+			return lost, err
+		}
+		if len(q) == 0 || w.bw.Available() < MaxFrameLen {
+			break
+		}
+		f = <-q
 	}
-	if err == nil && len(q) == 0 {
-		err = w.bw.Flush()
+	if err := w.bw.Flush(); err != nil {
+		return lost, err
 	}
-	return err
+	return 0, nil
 }
 
 // ReadFrame reads exactly one frame from r into f, decoding it in
@@ -357,20 +364,4 @@ func ReadFrame(r *bufio.Reader, f *Frame) error {
 	*f = got
 	_, err = r.Discard(n)
 	return err
-}
-
-// frameBuffered reports whether r already holds a whole frame (or a
-// length prefix ReadFrame rejects without reading), so that the next
-// ReadFrame cannot block.
-func frameBuffered(r *bufio.Reader) bool {
-	n := r.Buffered()
-	if n < 4 {
-		return false
-	}
-	prefix, err := r.Peek(4) // already buffered: no I/O
-	if err != nil {
-		return false
-	}
-	blen, err := bodyLen(prefix)
-	return err != nil || n >= 4+blen
 }
