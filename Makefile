@@ -1,6 +1,6 @@
 # Convenience targets for the iGuard reproduction.
 
-.PHONY: build test bench bench-e2e bench-diff bench-parallel bench-serve bench-batch bench-mp bench-rules bench-ctrl bench-decode bench-fold bench-fed eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed fuzz-rules p4lint
+.PHONY: build test bench bench-e2e bench-diff bench-parallel bench-serve bench-batch bench-mp bench-rules bench-ctrl bench-decode bench-fold bench-fed eval eval-quick examples fmt vet vet-hotpath lint fix sarif race race-batch race-mp race-fed fuzz-fed fuzz-rules fuzz-merge p4lint
 
 build:
 	go build ./...
@@ -56,7 +56,8 @@ bench-mp:
 # bits (direct code tables) and 20 bits (float thresholds, the library
 # default width), plus whitelisted (hit) and non-whitelisted (miss)
 # streams at the benchmark model's PL and FL shapes; and the adjacent-cell
-# merge of rule generation on a 13-dimension grid of about 2.4k cells.
+# merge of rule generation on 13-dimension grids of about 2.4k and 5.4k
+# cells.
 bench-rules:
 	go test -bench 'BenchmarkMatch|BenchmarkCompile|BenchmarkMergeAdjacent' -benchmem -run '^$$' ./internal/rules
 
@@ -169,3 +170,8 @@ fuzz-fed:
 # the quantised vector, at widths 4-24 and fuzzed quantiser ranges.
 fuzz-rules:
 	go test -run '^$$' -fuzz '^FuzzMatchFloat$$' -fuzztime=10s ./internal/rules
+
+# Cell-merge fuzz smoke: MergeAdjacent on fuzzed seeded grids against
+# the string-signature oracle, bit for bit.
+fuzz-merge:
+	go test -run '^$$' -fuzz '^FuzzMergeAdjacent$$' -fuzztime=10s ./internal/rules

@@ -735,23 +735,6 @@ func (f *Forest) Score(x []float64) float64 {
 	return float64(f.Votes(x)) / float64(len(f.Trees))
 }
 
-// LabelledLeafRegions returns every leaf's box and distilled label for
-// tree ti.
-func (f *Forest) LabelledLeafRegions(ti int) (boxes []rules.Box, labels []int) {
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.isLeaf() {
-			boxes = append(boxes, n.Box)
-			labels = append(labels, n.Label)
-			return
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(f.Trees[ti].root)
-	return boxes, labels
-}
-
 // LabelledLeafRegionsWithin returns tree ti's leaf boxes rooted at an
 // explicit outer box (e.g. the full quantised feature domain for rule
 // generation). Boundary leaves extend outward exactly as the routing
@@ -792,35 +775,6 @@ func (f *Forest) Rules(universe rules.Box, opts rules.GenOptions) (*rules.RuleSe
 // Bounds returns the training bounding box of tree ti.
 func (f *Forest) Bounds(ti int) rules.Box { return f.Trees[ti].bounds }
 
-// SplitValues returns, per feature, the sorted distinct split points
-// used anywhere in the forest.
-func (f *Forest) SplitValues() [][]float64 {
-	seen := make([]map[float64]bool, f.Dim)
-	for i := range seen {
-		seen[i] = map[float64]bool{}
-	}
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.isLeaf() {
-			return
-		}
-		seen[n.Feature][n.Split] = true
-		walk(n.Left)
-		walk(n.Right)
-	}
-	for _, t := range f.Trees {
-		walk(t.root)
-	}
-	out := make([][]float64, f.Dim)
-	for i, m := range seen {
-		for v := range m { //iguard:sorted values are collected then sorted below
-			out[i] = append(out[i], v)
-		}
-		sort.Float64s(out[i])
-	}
-	return out
-}
-
 // NumLeaves returns the total leaf count across trees.
 func (f *Forest) NumLeaves() int {
 	count := 0
@@ -837,26 +791,6 @@ func (f *Forest) NumLeaves() int {
 		walk(t.root)
 	}
 	return count
-}
-
-// MaxDepth returns the deepest leaf depth across trees.
-func (f *Forest) MaxDepth() int {
-	max := 0
-	var walk func(n *node, d int)
-	walk = func(n *node, d int) {
-		if n.isLeaf() {
-			if d > max {
-				max = d
-			}
-			return
-		}
-		walk(n.Left, d+1)
-		walk(n.Right, d+1)
-	}
-	for _, t := range f.Trees {
-		walk(t.root, 0)
-	}
-	return max
 }
 
 // TrainedOptions returns the options the forest was trained with.

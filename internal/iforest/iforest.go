@@ -301,47 +301,6 @@ func (f *Forest) LeafRegionsWithin(ti int, root rules.Box) []rules.Box {
 	return out
 }
 
-// SplitValues returns, per feature, the sorted distinct split points
-// used anywhere in the forest — the feature boundaries from which
-// §3.2.3 forms hypercubes.
-func (f *Forest) SplitValues() [][]float64 {
-	seen := make([]map[float64]bool, f.Dim)
-	for i := range seen {
-		seen[i] = map[float64]bool{}
-	}
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.isLeaf() {
-			return
-		}
-		seen[n.Feature][n.Split] = true
-		walk(n.Left)
-		walk(n.Right)
-	}
-	for _, t := range f.Trees {
-		walk(t.root)
-	}
-	out := make([][]float64, f.Dim)
-	for i, m := range seen {
-		for v := range m { //iguard:sorted values are collected then sorted below
-			out[i] = append(out[i], v)
-		}
-		sortFloats(out[i])
-	}
-	return out
-}
-
-func sortFloats(xs []float64) {
-	// Insertion sort: split lists per feature are short and this avoids
-	// importing sort in the hot path. Falls back gracefully for longer
-	// lists too.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
 // NumLeaves returns the total leaf count across all trees — a proxy for
 // the rule-set size the forest compiles into.
 func (f *Forest) NumLeaves() int {
@@ -359,24 +318,4 @@ func (f *Forest) NumLeaves() int {
 		walk(t.root)
 	}
 	return count
-}
-
-// MaxDepth returns the deepest leaf depth in the forest.
-func (f *Forest) MaxDepth() int {
-	max := 0
-	var walk func(n *node, d int)
-	walk = func(n *node, d int) {
-		if n.isLeaf() {
-			if d > max {
-				max = d
-			}
-			return
-		}
-		walk(n.Left, d+1)
-		walk(n.Right, d+1)
-	}
-	for _, t := range f.Trees {
-		walk(t.root, 0)
-	}
-	return max
 }

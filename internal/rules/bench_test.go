@@ -182,17 +182,23 @@ func BenchmarkCompile(b *testing.B) {
 var mergeSink []Rule
 
 // BenchmarkMergeAdjacent times the adjacent-cell merge, the bulk of
-// rule-set generation, on a seeded 13-dimension grid of about 2.4k
-// cells (mergeTestRules), the size of the largest merge in training
-// the repo benchmark's model. Each op merges a fresh copy of the input.
+// rule-set generation, on seeded 13-dimension grids (mergeTestRules)
+// of the two sizes the repo benchmark's model merges in training:
+// about 2.4k cells, the guard forest's FL set, and about 5.4k, the
+// switch iForest's set. Each op merges a fresh copy of the input.
 func BenchmarkMergeAdjacent(b *testing.B) {
-	in := mergeTestRules(mathx.NewRand(13), 13, 2300)
-	buf := make([]Rule, len(in))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, in)
-		mergeSink = MergeAdjacent(buf)
+	for _, shape := range []struct {
+		seed int64
+		n    int
+	}{{13, 2300}, {54, 5150}} {
+		in := mergeTestRules(mathx.NewRand(shape.seed), 13, shape.n)
+		buf := make([]Rule, len(in))
+		b.Run(fmt.Sprintf("cells=%d", len(in)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(buf, in)
+				mergeSink = MergeAdjacent(buf)
+			}
+		})
 	}
-	b.ReportMetric(float64(len(in)), "cells")
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -151,68 +152,116 @@ func GenerateVoted(universe Box, perTreeLeaves [][]Box, perTreeLabels [][]int, o
 // dimension and share a label, repeating until a fixed point. This is
 // the purple-box step of Fig. 3c.
 //
-// For each dimension d, one index sort groups the rules by label and by
-// the bit patterns of every other dimension's bounds; only rules in one
-// group can be adjacent along d. Each group is walked in ascending rule
-// index. A merge rewrites dimension d only, which the key leaves out,
-// so groups are independent and their order cannot change the result
-// (DESIGN.md §2). The key compares bits, not float values: -0 and +0
-// must stay in different groups, or adjacentAlong's == would merge
-// cells whose bounds differ in the sign of zero.
+// Each pass d groups the rules by a 64-bit hash of their merge key:
+// the label and the bit patterns of every other dimension's bounds.
+// Only rules with one key can be adjacent along d. The hashes are
+// sorted as (hash, index) integers, and each run of equal hashes is
+// walked in ascending rule index; a pair merges only when the boxes
+// touch along d and the exact keys are equal. So a hash collision puts
+// two keys in one run but never merges across them: the rules of each
+// key meet in the same order as in a group of their own. A merge
+// rewrites dimension d only, which the key leaves out, so groups are
+// independent and their order cannot change the result (DESIGN.md §2).
+// The key compares bits, not float values: -0 and +0 must stay in
+// different groups, or adjacentAlong's == would merge cells whose
+// bounds differ in the sign of zero. The loop stops once every
+// dimension in a row has merged nothing.
 func MergeAdjacent(ruleList []Rule) []Rule {
-	dims := dimOf(ruleList)
-	order := make([]int, len(ruleList))
-	dead := make([]bool, len(ruleList))
-	for {
+	return mergeWith(ruleList, mix64)
+}
+
+// mergeWith is MergeAdjacent with the hash's 64-bit mixer as a
+// parameter, so a test can force every rule into one run.
+//
+// Each rule keeps one hash term per dimension and their sum (plus a
+// label term); the hash for pass d is the sum less d's term, and a
+// merge along d refreshes only the merged rule's term for d.
+func mergeWith(ruleList []Rule, mix func(uint64) uint64) []Rule {
+	n, dims := len(ruleList), dimOf(ruleList)
+	if n < 2 || dims == 0 {
+		return ruleList
+	}
+	term := func(k int, iv Interval) uint64 {
+		return mix(mix(math.Float64bits(iv.Lo)^uint64(k+1)*0x9e3779b97f4a7c15) ^ math.Float64bits(iv.Hi))
+	}
+	terms := make([]uint64, n*dims)
+	sums := make([]uint64, n)
+	for i, r := range ruleList {
+		sum := mix(uint64(r.Label))
+		for k, iv := range r.Box {
+			terms[i*dims+k] = term(k, iv)
+			sum += terms[i*dims+k]
+		}
+		sums[i] = sum
+	}
+	// The low idxBits of a sort key hold the rule index, the rest the
+	// hash; indices only shrink as rules merge.
+	idxBits := bits.Len(uint(n - 1))
+	idxMask := uint64(1)<<idxBits - 1
+	keys := make([]uint64, n)
+	dead := make([]bool, n)
+	for d, idle := 0, 0; idle < dims; d = (d + 1) % dims {
+		keys = keys[:n]
+		for i := range keys {
+			keys[i] = (sums[i]-terms[i*dims+d])&^idxMask | uint64(i)
+		}
+		slices.Sort(keys)
 		merged := false
-		for d := 0; d < dims; d++ {
-			n := len(ruleList)
-			order, dead = order[:n], dead[:n]
-			for i := range order {
-				order[i] = i
-				dead[i] = false
+		for lo := 0; lo < n; {
+			hi := lo + 1
+			for hi < n && (keys[hi]^keys[lo])&^idxMask == 0 {
+				hi++
 			}
-			slices.SortFunc(order, func(i, j int) int {
-				if c := cmpMergeKey(&ruleList[i], &ruleList[j], d); c != 0 {
-					return c
+			run := keys[lo:hi]
+			lo = hi
+			for a, ki := range run {
+				i := int(ki & idxMask)
+				if dead[i] {
+					continue
 				}
-				return cmp.Compare(i, j)
-			})
-			for lo := 0; lo < n; {
-				hi := lo + 1
-				for hi < n && cmpMergeKey(&ruleList[order[lo]], &ruleList[order[hi]], d) == 0 {
-					hi++
-				}
-				group := order[lo:hi]
-				lo = hi
-				for a, i := range group {
-					if dead[i] {
+				for _, kj := range run[a+1:] {
+					j := int(kj & idxMask)
+					if dead[j] || !adjacentAlong(ruleList[i].Box, ruleList[j].Box, d) || cmpMergeKey(&ruleList[i], &ruleList[j], d) != 0 {
 						continue
 					}
-					for _, j := range group[a+1:] {
-						if dead[j] {
-							continue
-						}
-						if adjacentAlong(ruleList[i].Box, ruleList[j].Box, d) {
-							ruleList[i].Box = mergeAlong(ruleList[i].Box, ruleList[j].Box, d)
-							dead[j] = true
-							merged = true
-						}
-					}
+					ruleList[i].Box = mergeAlong(ruleList[i].Box, ruleList[j].Box, d)
+					t := term(d, ruleList[i].Box[d])
+					sums[i] += t - terms[i*dims+d]
+					terms[i*dims+d] = t
+					dead[j] = true
+					merged = true
 				}
 			}
-			compact := ruleList[:0]
-			for i, r := range ruleList {
-				if !dead[i] {
-					compact = append(compact, r)
-				}
-			}
-			ruleList = compact
 		}
 		if !merged {
-			return ruleList
+			idle++
+			continue
 		}
+		idle = 0
+		w := 0
+		for i := 0; i < n; i++ {
+			if dead[i] {
+				dead[i] = false
+				continue
+			}
+			ruleList[w], sums[w] = ruleList[i], sums[i]
+			copy(terms[w*dims:(w+1)*dims], terms[i*dims:(i+1)*dims])
+			w++
+		}
+		n = w
+		ruleList = ruleList[:n]
 	}
+	return ruleList
+}
+
+// mix64 is the splitmix64 finaliser: a fixed, seedless bijection of
+// uint64 whose output bits each depend on every input bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 func dimOf(ruleList []Rule) int {

@@ -136,12 +136,12 @@ func mergeTestRules(r *rand.Rand, dims, n int) []Rule {
 	return rules
 }
 
-// checkMergeMatchesOracle merges in with MergeAdjacent and with the
-// oracle and requires bit-identical rule lists. reflect.DeepEqual
-// would not do: it compares floats with ==, so it equates -0 and +0.
-func checkMergeMatchesOracle(t *testing.T, in []Rule) {
+// checkMergeMatchesOracle merges in with merge and with the oracle
+// and requires bit-identical rule lists. reflect.DeepEqual would not
+// do: it compares floats with ==, so it equates -0 and +0.
+func checkMergeMatchesOracle(t *testing.T, in []Rule, merge func([]Rule) []Rule) {
 	t.Helper()
-	got := MergeAdjacent(append([]Rule(nil), in...))
+	got := merge(append([]Rule(nil), in...))
 	want := mergeAdjacentOracle(append([]Rule(nil), in...))
 	if len(got) != len(want) {
 		t.Fatalf("%d rules merged to %d, oracle %d", len(in), len(got), len(want))
@@ -160,11 +160,10 @@ func checkMergeMatchesOracle(t *testing.T, in []Rule) {
 	}
 }
 
-// TestMergeAdjacentMatchesOracle pins the sort-grouped merge to the
-// string-signature reference over seeded random grids: 1–13 dimensions,
+// oracleGrids runs check on 36 seeded random grids: 1–13 dimensions,
 // 0–3000 rules, both labels, duplicate boxes, ±Inf bounds and -0/+0
 // split values.
-func TestMergeAdjacentMatchesOracle(t *testing.T) {
+func oracleGrids(t *testing.T, check func(t *testing.T, in []Rule)) {
 	r := mathx.NewRand(0x3e29e)
 	cases := [][2]int{{1, 0}, {1, 1}, {13, 0}, {1, 40}, {2, 200}, {13, 3000}}
 	for i := 0; i < 30; i++ {
@@ -174,9 +173,28 @@ func TestMergeAdjacentMatchesOracle(t *testing.T) {
 		dims, n := c[0], c[1]
 		in := mergeTestRules(r, dims, n)
 		t.Run(fmt.Sprintf("dims=%d/n=%d", dims, len(in)), func(t *testing.T) {
-			checkMergeMatchesOracle(t, in)
+			check(t, in)
 		})
 	}
+}
+
+// TestMergeAdjacentMatchesOracle pins the hash-grouped merge to the
+// string-signature reference over the seeded grids.
+func TestMergeAdjacentMatchesOracle(t *testing.T) {
+	oracleGrids(t, func(t *testing.T, in []Rule) {
+		checkMergeMatchesOracle(t, in, MergeAdjacent)
+	})
+}
+
+// TestMergeHashCollisionsMatchOracle merges the seeded grids with a
+// constant hash, so every rule of a pass shares one run: every pair is
+// a collision, and only the exact bit-key compare keeps keys apart.
+// The result must still be the oracle's, bit for bit.
+func TestMergeHashCollisionsMatchOracle(t *testing.T) {
+	constant := func(uint64) uint64 { return 0x5eed }
+	oracleGrids(t, func(t *testing.T, in []Rule) {
+		checkMergeMatchesOracle(t, in, func(rs []Rule) []Rule { return mergeWith(rs, constant) })
+	})
 }
 
 // FuzzMergeAdjacent drives the same generator from fuzzed seeds and
@@ -191,6 +209,6 @@ func FuzzMergeAdjacent(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, dims uint8, n uint16) {
 		in := mergeTestRules(mathx.NewRand(seed), 1+int(dims)%13, int(n)%601)
-		checkMergeMatchesOracle(t, in)
+		checkMergeMatchesOracle(t, in, MergeAdjacent)
 	})
 }
